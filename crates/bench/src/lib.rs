@@ -35,9 +35,7 @@ pub mod figcheck;
 pub mod figdata;
 pub mod golden;
 pub mod journal;
-pub mod proto;
 pub mod resilience;
-pub mod serve;
 pub mod state;
 pub mod sweep;
 
@@ -93,7 +91,7 @@ pub fn parse_mode_or_exit(token: &str) -> EngineMode {
 }
 
 /// Default mid-cell checkpoint cadence in simulated cycles; the engine
-/// quantizes writes to its coarse deadline-check grid, so this is also the
+/// quantizes writes to its coarse checkpoint grid, so this is also the
 /// finest cadence that costs nothing on the hot path.
 pub const DEFAULT_CKPT_INTERVAL: u64 = 65_536;
 

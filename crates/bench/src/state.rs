@@ -20,7 +20,7 @@
 //!   file this module does not understand.
 //!
 //! `sacsim --gc-state` exposes this directly (with `--dry-run` for a
-//! listing) and the `sac_serve` reaper runs it periodically.
+//! listing).
 
 use crate::journal::{Journal, RecordOutcome};
 use mcgpu_types::ckpt::read_snapshot;

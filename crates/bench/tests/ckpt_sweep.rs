@@ -1,4 +1,4 @@
-//! Sweep- and daemon-level checkpoint/resume wiring tests.
+//! Sweep-level checkpoint/resume wiring tests.
 //!
 //! The engine-level property — restore-then-run is byte-identical to an
 //! uninterrupted run — is proven by `crates/sim/tests/ckpt_identity.rs`.
@@ -8,21 +8,16 @@
 //! snapshot; a corrupt snapshot falls back to a full run instead of
 //! failing the cell; a `--resume` of a quarantined cell continues the
 //! journaled attempt/backoff sequence instead of restarting it from
-//! zero; and a restarted `sac_serve` re-adopts an in-flight cell
-//! mid-cycle from its snapshot.
+//! zero.
 
-use mcgpu_sim::{org, SimBuilder, SimError, Simulator};
+use mcgpu_sim::{SimBuilder, SimError, Simulator};
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::{LlcOrgKind, MachineConfig, ObsConfig};
 use sac_bench::journal::{cell_config_desc, fnv1a_64};
-use sac_bench::serve::{Server, ServerConfig};
 use sac_bench::{
     experiment_config, run_benchmark, state, Journal, JournalRecord, RecordOutcome, SweepOptions,
 };
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 fn tdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("sac-ckpt-sweep-{name}-{}", std::process::id()));
@@ -169,132 +164,5 @@ fn resume_continues_attempt_counts_for_quarantined_cells() {
         rec.attempts, 3,
         "2 journaled attempts + 1 fresh attempt: escalation resumed, not reset"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// sac_serve restart re-adoption
-// ---------------------------------------------------------------------------
-
-/// Minimal one-request HTTP client (the daemon closes the connection
-/// after each response): returns (status, body-after-headers).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut buf = String::new();
-    s.read_to_string(&mut buf).unwrap();
-    let status = buf
-        .split_whitespace()
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("unparsable response: {buf}"));
-    let body = buf
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-#[test]
-fn serve_readopts_an_inflight_cell_mid_cycle_from_its_snapshot() {
-    // The state a killed daemon would leave behind: an acknowledged
-    // request in the manifest, no journal record for its cell, and a
-    // mid-cycle snapshot of the in-flight simulation. The job runs with
-    // exactly the admission-path configuration (baseline machine, quick
-    // params at the requested volume, metrics-level observability).
-    let bench = "SN";
-    let orgk = LlcOrgKind::Sac;
-    let token = org::descriptor(orgk).token;
-    let machine = MachineConfig::experiment_baseline();
-    let params = TraceParams {
-        total_accesses: 8_000,
-        ..TraceParams::quick()
-    };
-    let wl = generate(&machine, &profiles::by_name(bench).unwrap(), &params);
-    let fresh = {
-        let mut sim = SimBuilder::new(machine.clone())
-            .organization(orgk)
-            .observability(ObsConfig::metrics())
-            .build()
-            .unwrap();
-        sim.run(&wl).unwrap().to_canonical_json()
-    };
-
-    let dir = tdir("serve");
-    let ckpt_dir = dir.join("ckpt");
-    std::fs::create_dir_all(&ckpt_dir).unwrap();
-    let name = format!("{bench}/{token}");
-    let hash = fnv1a_64(cell_config_desc(&machine, &params, bench, orgk).as_bytes());
-    let snap = state::cell_snapshot_path(&ckpt_dir, &name, hash);
-    {
-        let mut victim = SimBuilder::new(machine.clone())
-            .organization(orgk)
-            .observability(ObsConfig::metrics())
-            .max_cycles(1000)
-            .build()
-            .unwrap();
-        match victim.run(&wl) {
-            Err(SimError::CycleLimit { .. }) => {}
-            other => panic!("expected the cycle cut to interrupt the run, got {other:?}"),
-        }
-        victim.write_checkpoint(&snap, &wl).unwrap();
-    }
-
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        state_dir: dir.clone(),
-        max_queue: 64,
-        stall_ms: 0,
-        ckpt_interval: 65_536,
-    })
-    .unwrap();
-    let addr = server.addr();
-    assert!(
-        snap.exists(),
-        "startup GC must keep the live in-flight snapshot"
-    );
-
-    let spec = format!(
-        "{{\"id\": \"readopt-1\", \"benchmarks\": [\"{bench}\"], \
-         \"orgs\": [\"{token}\"], \"total_accesses\": 8000}}"
-    );
-    let (status, _) = http(addr, "POST", "/v1/sweeps", &spec);
-    assert_eq!(status, 202);
-
-    // The request-level phase leads the status document; cells carry
-    // their own "phase" keys further in, so match the document prefix.
-    let done = "{\"id\": \"readopt-1\", \"phase\": \"completed\"";
-    let failed = "{\"id\": \"readopt-1\", \"phase\": \"failed\"";
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let terminal = loop {
-        let (status, body) = http(addr, "GET", "/v1/sweeps/readopt-1", "");
-        assert_eq!(status, 200);
-        if body.starts_with(done) || body.starts_with(failed) {
-            break body;
-        }
-        assert!(Instant::now() < deadline, "request never finished: {body}");
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert!(
-        terminal.starts_with(done),
-        "re-adopted cell must complete: {terminal}"
-    );
-
-    let (status, stats) = http(addr, "GET", "/v1/sweeps/readopt-1/cells/0/stats", "");
-    assert_eq!(status, 200);
-    assert_eq!(
-        stats, fresh,
-        "a cell resumed mid-cycle from its snapshot serves byte-identical stats"
-    );
-    assert!(
-        !snap.exists(),
-        "the delivered cell's snapshot is superseded and removed"
-    );
-    server.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -19,10 +19,10 @@
 //!   [`Simulator::restore`] re-attaches the in-progress kernel's streams
 //!   before decoding cursor state. A fingerprint over every access
 //!   guards against re-attaching a different workload;
-//! * builder-provided run limits (`max_cycles`, watchdog window,
-//!   deadline, audit period) — the caller configures the new simulator
-//!   identically, and a restore under *different* limits is a feature
-//!   (e.g. extending the budget of a timed-out run);
+//! * builder-provided run limits (`max_cycles`, watchdog window, audit
+//!   period) — the caller configures the new simulator identically, and a
+//!   restore under *different* limits is a feature (e.g. extending the
+//!   cycle budget of a run that hit its limit);
 //! * per-cycle scratch buffers and spare-entry pools — allocation reuse
 //!   only, no simulation-visible state.
 //!
@@ -32,7 +32,7 @@
 //! snapshot readable and a torn file is detected, never misparsed.
 
 use super::coherence::SharerDirectory;
-use super::diagnostics::{SimError, DEADLINE_CHECK_PERIOD};
+use super::diagnostics::SimError;
 use super::Simulator;
 use crate::org::Pause;
 use crate::packet::RingPayload;
@@ -42,6 +42,9 @@ use mcgpu_trace::Workload;
 use mcgpu_types::ckpt::{fnv1a64, read_snapshot, write_snapshot};
 use mcgpu_types::{CkptError, CkptResult, Dec, Enc, FaultPlan};
 use std::path::Path;
+
+/// Grid of periodic checkpoint writes: they land on cycles ≡ 1 mod this.
+pub(super) const CKPT_WRITE_PERIOD: u64 = 65_536;
 
 /// Fingerprint of a workload's complete access stream (name, kernel
 /// structure, every address and access kind), stamped into snapshots so
@@ -348,14 +351,14 @@ impl Simulator {
     }
 
     /// Periodic-trigger hook, called once per cycle from the run loop.
-    /// Fires on the coarse deadline-check grid once `ckpt_interval`
+    /// Fires on the [`CKPT_WRITE_PERIOD`] grid once `ckpt_interval`
     /// cycles have elapsed since the last write; no-ops (one branch) when
     /// checkpointing is off.
     pub(super) fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
         if self.ckpt_interval == 0 {
             return Ok(());
         }
-        if self.cycle % DEADLINE_CHECK_PERIOD != 1
+        if self.cycle % CKPT_WRITE_PERIOD != 1
             || self.cycle.saturating_sub(self.last_ckpt_cycle) < self.ckpt_interval
         {
             return Ok(());

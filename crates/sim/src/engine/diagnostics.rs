@@ -1,15 +1,10 @@
-//! Runtime diagnostics: the forward-progress watchdog, wall-clock deadline,
+//! Runtime diagnostics: the forward-progress watchdog, the
 //! request-conservation audit, and the deadlock snapshot they report.
 
 use super::Simulator;
 use crate::cluster::Cluster;
 use crate::packet::RingPayload;
 use mcgpu_types::ConfigError;
-
-/// How often the wall-clock deadline is checked (cycles). Coarse enough to
-/// keep `Instant::now` off the hot path, fine enough that a runaway cell is
-/// caught within a fraction of a second.
-pub(super) const DEADLINE_CHECK_PERIOD: u64 = 65_536;
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,28 +24,6 @@ pub enum SimError {
         window: u64,
         /// Where the stuck work sits, per chip.
         snapshot: Box<DeadlockSnapshot>,
-    },
-    /// The per-run wall-clock deadline elapsed. The simulation was still
-    /// making forward progress — just too slowly for the caller's budget
-    /// (the sweep runner's per-cell deadline). The deadline is abort-only
-    /// and checked on a coarse cycle grid, so enabling it never perturbs
-    /// the statistics of runs that complete.
-    Timeout {
-        /// Wall-clock time spent, milliseconds.
-        elapsed_ms: u64,
-        /// The configured budget, milliseconds.
-        budget_ms: u64,
-    },
-    /// The caller raised the cooperative cancellation flag
-    /// ([`super::SimBuilder::cancel_flag`]) and the run stopped at the next
-    /// check. The simulation itself was healthy — the caller's budget
-    /// expired or the request was aborted (the sweep service's per-request
-    /// budgets). Like the deadline, the flag is abort-only and polled on a
-    /// coarse cycle grid, so runs that complete are byte-identical with and
-    /// without a flag installed.
-    Cancelled {
-        /// Cycle at which the flag was observed.
-        cycle: u64,
     },
     /// The request-conservation audit failed: the engine's in-flight
     /// counter disagrees with the number of request-carrying entries found
@@ -87,21 +60,6 @@ impl std::fmt::Display for SimError {
                 write!(
                     f,
                     "no forward progress for {window} cycles (deadlock at cycle {cycle}): {snapshot}"
-                )
-            }
-            SimError::Timeout {
-                elapsed_ms,
-                budget_ms,
-            } => {
-                write!(
-                    f,
-                    "simulation exceeded its wall-clock deadline ({elapsed_ms} ms spent, budget {budget_ms} ms)"
-                )
-            }
-            SimError::Cancelled { cycle } => {
-                write!(
-                    f,
-                    "simulation cancelled by its caller at cycle {cycle} (budget expired or request aborted)"
                 )
             }
             SimError::InvariantViolation { cycle, report } => {
@@ -303,29 +261,10 @@ impl Simulator {
     }
 
     /// Runtime guards, called once per tick from every simulation loop
-    /// (including drains): the cooperative cancellation flag
-    /// ([`SimError::Cancelled`]) and the wall-clock deadline
-    /// ([`SimError::Timeout`]) — both checked on a coarse cycle grid so
-    /// atomics and `Instant::now` stay off the hot path — the
-    /// forward-progress watchdog ([`SimError::Deadlock`]), and the
-    /// request-conservation audit ([`SimError::InvariantViolation`]).
+    /// (including drains): the forward-progress watchdog
+    /// ([`SimError::Deadlock`]) and the request-conservation audit
+    /// ([`SimError::InvariantViolation`]).
     pub(super) fn check_progress(&mut self) -> Result<(), SimError> {
-        if self.cycle % DEADLINE_CHECK_PERIOD == 1 {
-            if let Some(flag) = &self.cancel {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Err(SimError::Cancelled { cycle: self.cycle });
-                }
-            }
-            if let (Some(budget), Some(start)) = (self.deadline, self.deadline_start) {
-                let elapsed = start.elapsed();
-                if elapsed > budget {
-                    return Err(SimError::Timeout {
-                        elapsed_ms: elapsed.as_millis() as u64,
-                        budget_ms: budget.as_millis() as u64,
-                    });
-                }
-            }
-        }
         if self.audit_period != 0 && self.cycle.is_multiple_of(self.audit_period) {
             self.audit_conservation()?;
         }

@@ -27,8 +27,8 @@
 //!   cycles, the observability epoch window, and the caller's throughput
 //!   observer cadence. Occupancy sampling accumulates `f64` state even
 //!   when idle, so the real tick must run at each grid point.
-//! * **Guard grids** — the coarse deadline/cancel/checkpoint grid
-//!   ([`DEADLINE_CHECK_PERIOD`]) and the conservation-audit period.
+//! * **Guard grids** — the checkpoint-write grid ([`CKPT_WRITE_PERIOD`])
+//!   and the conservation-audit period.
 //! * **Watchdog** — the forward-progress deadline. The stepped loop checks
 //!   the watchdog every cycle; folding `watchdog_cycle + watchdog_window`
 //!   into the scan means a quiescent-but-wedged machine still reports
@@ -43,7 +43,7 @@
 //! [`tick`]: Simulator::tick
 //! [`LlcOrgPolicy::next_policy_event`]: crate::org::LlcOrgPolicy::next_policy_event
 
-use super::diagnostics::DEADLINE_CHECK_PERIOD;
+use super::ckpt::CKPT_WRITE_PERIOD;
 use super::tick::{CTA_WAVE_LEAD, OCC_SAMPLE_PERIOD};
 use super::Simulator;
 use crate::chip::Chip;
@@ -135,10 +135,9 @@ impl Simulator {
             event = event.min(next_on_grid(now, every, 0));
         }
 
-        // Guard grids: cancellation/deadline polls and checkpoint writes
-        // share the coarse grid; the conservation audit has its own.
-        if self.cancel.is_some() || self.deadline.is_some() || self.ckpt_interval != 0 {
-            event = event.min(next_on_grid(now, DEADLINE_CHECK_PERIOD, 1));
+        // Guard grids: checkpoint writes and the conservation audit.
+        if self.ckpt_interval != 0 {
+            event = event.min(next_on_grid(now, CKPT_WRITE_PERIOD, 1));
         }
         if self.audit_period != 0 {
             event = event.min(next_on_grid(now, self.audit_period, 0));

@@ -142,15 +142,9 @@ fn run_under_plan(org: LlcOrgKind, m: usize, events: Vec<FaultEvent>) {
         }
         Err(SimError::CycleLimit { .. }) => {}
         Err(SimError::Config(e)) => panic!("validated plan rejected at run time: {e}"),
-        // No deadline or cancel flag is set and the conservation audit
-        // must hold under fault injection — any of these is a real
-        // failure here.
-        Err(
-            e @ (SimError::Timeout { .. }
-            | SimError::Cancelled { .. }
-            | SimError::InvariantViolation { .. }
-            | SimError::Checkpoint { .. }),
-        ) => {
+        // The conservation audit must hold under fault injection and no
+        // checkpoint is configured — either is a real failure here.
+        Err(e @ (SimError::InvariantViolation { .. } | SimError::Checkpoint { .. })) => {
             panic!("unexpected abort: {e}")
         }
     }

@@ -1,17 +1,27 @@
 //! Property test pinning the `CellError` taxonomy across the journal
 //! boundary: every variant's machine-readable `kind()` string must
 //! serialize into a quarantined journal record, reload from disk
-//! unchanged, and re-classify (`CellError::kind_retryable`) to exactly
-//! the retry decision the in-memory error (`CellError::retryable`) would
-//! make. This is what lets a restarted `sac_serve` daemon re-adopt
-//! quarantined cells from the journal without ever flipping a retry
-//! decision: a budget trip stays retryable, a bug stays permanent.
+//! unchanged, and map through [`TAXONOMY`] to exactly the retry decision
+//! the in-memory error (`CellError::retryable`) would make. The kind
+//! strings are the journal's wire format: a `--resume` that reads one
+//! back must never flip a retry decision — a budget trip stays
+//! retryable, a bug stays permanent.
 
 use mcgpu_sim::{ConservationReport, DeadlockSnapshot, SimError};
 use proptest::prelude::*;
 use sac_bench::sweep::CellError;
 use sac_bench::{Journal, JournalRecord, RecordOutcome};
 use std::path::PathBuf;
+
+/// Every `kind()` string and its `retryable()` value, one row per variant.
+const TAXONOMY: [(&str, bool); 6] = [
+    ("panic", false),
+    ("cycle-limit", true),
+    ("deadlock", true),
+    ("invariant-violation", false),
+    ("config", false),
+    ("checkpoint", false),
+];
 
 /// Every taxonomy variant, with arbitrary payloads where they exist.
 fn cell_error_strategy() -> impl Strategy<Value = CellError> {
@@ -28,13 +38,6 @@ fn cell_error_strategy() -> impl Strategy<Value = CellError> {
                 snapshot: Box::<DeadlockSnapshot>::default(),
             })
         }),
-        (any::<u64>(), any::<u64>()).prop_map(|(elapsed_ms, budget_ms)| {
-            CellError::Sim(SimError::Timeout {
-                elapsed_ms,
-                budget_ms,
-            })
-        }),
-        any::<u64>().prop_map(|cycle| CellError::Sim(SimError::Cancelled { cycle })),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(cycle, in_flight, accounted)| {
             CellError::Sim(SimError::InvariantViolation {
                 cycle,
@@ -50,6 +53,9 @@ fn cell_error_strategy() -> impl Strategy<Value = CellError> {
                 "rejected input {n}"
             ))))
         }),
+        any::<u64>().prop_map(|n| CellError::Sim(SimError::Checkpoint {
+            detail: format!("writing \"/state/cell-{n}.ckpt\":\n\\torn"),
+        })),
     ]
 }
 
@@ -63,7 +69,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// kind → journal → disk → reload → kind_retryable is the identity on
+    /// kind → journal → disk → reload → [`TAXONOMY`] is the identity on
     /// the retry decision, and the kind string itself survives verbatim.
     #[test]
     fn taxonomy_round_trips_through_the_journal(
@@ -102,32 +108,42 @@ proptest! {
         prop_assert_eq!(k2.as_str(), kind);
         prop_assert_eq!(e2.as_str(), message.as_str());
         // ...and the reloaded kind re-classifies to the same retry
-        // decision the original error object carried. `None` would mean
-        // the taxonomy leaked an unclassifiable kind to disk.
-        prop_assert_eq!(CellError::kind_retryable(k2), Some(err.retryable()));
+        // decision the original error object carried.
+        let row = TAXONOMY.iter().find(|&&(k, _)| k == k2.as_str());
+        prop_assert_eq!(row.map(|&(_, r)| r), Some(err.retryable()));
     }
 }
 
-/// The taxonomy is closed: the set of kinds `CellError::kind` can emit and
-/// the set `kind_retryable` classifies are the same seven strings.
+/// The taxonomy is closed: each variant, in table order, emits its row's
+/// kind and retry decision, and the six kind strings are distinct.
 #[test]
 fn every_emitted_kind_is_classified_and_vice_versa() {
-    let emitted = [
-        "panic",
-        "cycle-limit",
-        "deadlock",
-        "timeout",
-        "cancelled",
-        "invariant-violation",
-        "config",
+    let one_of_each = [
+        CellError::Panic {
+            message: "x".into(),
+        },
+        CellError::Sim(SimError::CycleLimit { limit: 1 }),
+        CellError::Sim(SimError::Deadlock {
+            cycle: 2,
+            window: 1,
+            snapshot: Box::<DeadlockSnapshot>::default(),
+        }),
+        CellError::Sim(SimError::InvariantViolation {
+            cycle: 3,
+            report: Box::<ConservationReport>::default(),
+        }),
+        CellError::Sim(SimError::Config(mcgpu_types::ConfigError::new("bad"))),
+        CellError::Sim(SimError::Checkpoint {
+            detail: "torn".into(),
+        }),
     ];
-    for kind in emitted {
-        assert!(
-            CellError::kind_retryable(kind).is_some(),
-            "emitted kind `{kind}` is unclassifiable"
-        );
+    assert_eq!(one_of_each.len(), TAXONOMY.len());
+    for (err, &(kind, retryable)) in one_of_each.iter().zip(&TAXONOMY) {
+        assert_eq!(err.kind(), kind);
+        assert_eq!(err.retryable(), retryable, "{kind}");
     }
-    for bogus in ["", "Cancelled", "cycle_limit", "oom", "unknown"] {
-        assert_eq!(CellError::kind_retryable(bogus), None, "{bogus}");
-    }
+    let mut kinds: Vec<&str> = TAXONOMY.iter().map(|&(k, _)| k).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds.len(), TAXONOMY.len(), "kind strings must be distinct");
 }
