@@ -347,7 +347,7 @@ impl BenchRows {
 ///
 /// # Errors
 /// [`CellError::Sim`] for configuration rejections and runtime aborts
-/// (cycle limit, deadlock, wall-clock timeout, invariant violation).
+/// (cycle limit, deadlock, invariant violation, checkpoint failure).
 pub fn try_run_one(
     cfg: &MachineConfig,
     workload: &Workload,

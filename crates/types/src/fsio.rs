@@ -173,4 +173,12 @@ mod tests {
         atomic_write(&p, b"v2").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"v2");
     }
+
+    #[test]
+    fn tmp_path_appends_suffix() {
+        assert_eq!(
+            tmp_path(Path::new("/x/y/ckpt.bin")),
+            Path::new("/x/y/ckpt.bin.tmp")
+        );
+    }
 }
