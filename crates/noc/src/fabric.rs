@@ -2,16 +2,20 @@
 //!
 //! The fabric keeps one directed bandwidth/latency [`Pipe`] per (chip,
 //! neighbor-slot) of the configured [`Topology`] and re-injects multi-hop
-//! packets hop by hop in [`FabricNetwork::tick`], re-routing every hop so
-//! traffic steers around failed links. On the paper's ring (Table 3: 12
-//! bidirectional NVLink-class links in total, 3 per adjacent pair, 96 GB/s
-//! per direction per pair) this reproduces the original hard-wired ring
-//! fabric bit-for-bit: slot 0 is clockwise, slot 1 counter-clockwise, and
-//! the [`Ring`](crate::topology::Ring) routing policy is the original
-//! shortest-path/balanced-tie-break/long-way-around logic.
+//! packets hop by hop in [`FabricNetwork::tick`]. A packet that lands at an
+//! intermediate chip is routed once, on arrival, and waits in that chip's
+//! FIFO for the chosen slot; [`FabricNetwork::fail_link`] re-routes every
+//! waiting packet, so traffic steers around failed links. On the paper's
+//! ring (Table 3: 12 bidirectional NVLink-class links in total, 3 per
+//! adjacent pair, 96 GB/s per direction per pair) this reproduces the
+//! original hard-wired ring fabric bit-for-bit: slot 0 is clockwise, slot 1
+//! counter-clockwise, and the [`Ring`](crate::topology::Ring) routing
+//! policy is the original shortest-path/balanced-tie-break/long-way-around
+//! logic.
 
 use crate::topology::{build_topology, Topology};
 use mcgpu_types::{ChipId, MachineConfig, Pipe};
+use std::collections::VecDeque;
 
 /// A packet travelling on the fabric towards `dest`.
 #[derive(Debug, Clone)]
@@ -19,6 +23,62 @@ struct FabricPacket<T> {
     dest: ChipId,
     bytes: u64,
     payload: T,
+}
+
+/// A packet waiting at an intermediate chip, stamped with the fabric-wide
+/// arrival sequence number that orders the chip's waiting packets.
+type Parked<T> = (u64, FabricPacket<T>);
+
+/// The packets waiting at one intermediate chip for re-injection.
+///
+/// Each packet is routed once, when it arrives, and queued on the FIFO of
+/// its outgoing slot. Routes only change in [`FabricNetwork::fail_link`],
+/// which re-buckets every packet in arrival order.
+#[derive(Debug)]
+struct Transit<T> {
+    /// `by_slot[slot]`: packets routed onto `slot`, oldest first.
+    by_slot: Vec<VecDeque<Parked<T>>>,
+    /// Packets with no live route to their destination, oldest first.
+    unrouted: Vec<Parked<T>>,
+}
+
+impl<T> Transit<T> {
+    fn new(slots: usize) -> Self {
+        Transit {
+            by_slot: (0..slots).map(|_| VecDeque::new()).collect(),
+            unrouted: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.by_slot.iter().map(VecDeque::len).sum::<usize>() + self.unrouted.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.unrouted.is_empty() && self.by_slot.iter().all(VecDeque::is_empty)
+    }
+
+    /// Every waiting packet, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = &Parked<T>> {
+        self.by_slot.iter().flatten().chain(&self.unrouted)
+    }
+
+    /// Every waiting packet in arrival order, without removing it.
+    fn in_arrival_order(&self) -> Vec<&Parked<T>> {
+        let mut all: Vec<&Parked<T>> = self.iter().collect();
+        all.sort_unstable_by_key(|(seq, _)| *seq);
+        all
+    }
+
+    /// Remove every waiting packet and return them in arrival order.
+    fn take_in_arrival_order(&mut self) -> Vec<Parked<T>> {
+        let mut all = std::mem::take(&mut self.unrouted);
+        for queue in &mut self.by_slot {
+            all.extend(queue.drain(..));
+        }
+        all.sort_unstable_by_key(|(seq, _)| *seq);
+        all
+    }
 }
 
 /// Why [`FabricNetwork::try_send`] returned the payload to the caller.
@@ -74,7 +134,9 @@ pub struct FabricNetwork<T> {
     alive: Vec<Vec<bool>>,
     /// Packets that completed a hop and wait at an intermediate chip for
     /// re-injection, per chip.
-    transit: Vec<Vec<FabricPacket<T>>>,
+    transit: Vec<Transit<T>>,
+    /// The next arrival sequence number stamped on a parked packet.
+    next_seq: u64,
     /// Packets that reached their destination, per chip.
     arrived: Vec<Vec<FabricPacket<T>>>,
     delivered: u64,
@@ -102,12 +164,16 @@ impl<T> FabricNetwork<T> {
         let alive = ChipId::all(n)
             .map(|c| vec![true; topo.neighbors(c).len()])
             .collect();
+        let transit = ChipId::all(n)
+            .map(|c| Transit::new(topo.neighbors(c).len()))
+            .collect();
         FabricNetwork {
             chips: n,
             topo,
             links,
             alive,
-            transit: (0..n).map(|_| Vec::new()).collect(),
+            transit,
+            next_seq: 0,
             arrived: (0..n).map(|_| Vec::new()).collect(),
             delivered: 0,
             bytes_sent: 0,
@@ -132,6 +198,25 @@ impl<T> FabricNetwork<T> {
             })
     }
 
+    /// Queue a stamped packet waiting at `chip` on the FIFO of its next
+    /// hop, or with the unrouted packets when no live path remains.
+    fn enqueue(&mut self, chip: usize, parked: Parked<T>) {
+        let from = ChipId(chip as u8);
+        let transit = &mut self.transit[chip];
+        match self.topo.route(from, parked.1.dest, &self.alive) {
+            Some(slot) => transit.by_slot[slot].push_back(parked),
+            None => transit.unrouted.push(parked),
+        }
+    }
+
+    /// Stamp a packet that just landed at intermediate `chip` with the
+    /// next arrival sequence number and queue it for its next hop.
+    fn park(&mut self, chip: usize, pkt: FabricPacket<T>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.enqueue(chip, (seq, pkt));
+    }
+
     /// Degrade the adjacency `a <-> b` to `factor` of its configured
     /// bandwidth, in both directions. Queued and in-flight packets are
     /// unaffected; future packets transmit at the reduced rate.
@@ -146,12 +231,31 @@ impl<T> FabricNetwork<T> {
     /// Fail the adjacency `a <-> b` in both directions. Packets queued or
     /// in flight on the dead links are returned to their sending chip and
     /// re-routed along surviving links — conserved, not dropped.
+    ///
+    /// This is the only place a route can change, so it re-routes every
+    /// waiting packet on every chip, in arrival order.
     pub fn fail_link(&mut self, a: ChipId, b: ChipId) {
+        let mut stranded = Vec::new();
         for (from, to) in [(a, b), (b, a)] {
             let slot = self.slot_towards(from, to);
             self.alive[from.index()][slot] = false;
-            let stranded = self.links[from.index()][slot].drain();
-            self.transit[from.index()].extend(stranded);
+            for pkt in self.links[from.index()][slot].drain() {
+                stranded.push((from.index(), pkt));
+            }
+        }
+        let mut waiting: Vec<Vec<Parked<T>>> = self
+            .transit
+            .iter_mut()
+            .map(Transit::take_in_arrival_order)
+            .collect();
+        for (chip, pkt) in stranded {
+            waiting[chip].push((self.next_seq, pkt));
+            self.next_seq += 1;
+        }
+        for (chip, parked) in waiting.into_iter().enumerate() {
+            for p in parked {
+                self.enqueue(chip, p);
+            }
         }
     }
 
@@ -208,22 +312,22 @@ impl<T> FabricNetwork<T> {
     /// transit packets onto their next hop.
     pub fn tick(&mut self, now: u64) {
         // Re-inject packets waiting at intermediate chips first so they get
-        // this cycle's bandwidth. Routing is re-evaluated every hop, so
-        // packets stranded by a link failure take a surviving path; with no
-        // live path they wait here (conserved) until one returns or the
-        // engine's watchdog declares the machine wedged.
-        for chip in 0..self.chips {
-            let waiting = std::mem::take(&mut self.transit[chip]);
-            for pkt in waiting {
-                let from = ChipId(chip as u8);
-                match self.topo.route(from, pkt.dest, &self.alive) {
-                    Some(slot) => {
-                        let bytes = pkt.bytes;
-                        if let Err(p) = self.links[chip][slot].try_push(pkt, bytes) {
-                            self.transit[chip].push(p);
-                        }
-                    }
-                    None => self.transit[chip].push(pkt),
+        // this cycle's bandwidth. A link's capacity counts entries and
+        // nothing drains it before its `tick`, so once one push fails every
+        // later push to it this cycle fails too: each slot admits a prefix
+        // of its FIFO. Unrouted packets wait (conserved) until the engine's
+        // watchdog declares the machine wedged.
+        for (transit, links) in self.transit.iter_mut().zip(&mut self.links) {
+            for (queue, link) in transit.by_slot.iter_mut().zip(links.iter_mut()) {
+                while link.can_push() {
+                    let Some((_, pkt)) = queue.pop_front() else {
+                        break;
+                    };
+                    let bytes = pkt.bytes;
+                    assert!(
+                        link.try_push(pkt, bytes).is_ok(),
+                        "invariant violated: a link that can push refused a packet"
+                    );
                 }
             }
         }
@@ -241,7 +345,7 @@ impl<T> FabricNetwork<T> {
                         self.delivered += 1;
                         self.arrived[next.index()].push(pkt);
                     } else {
-                        self.transit[next.index()].push(pkt);
+                        self.park(next.index(), pkt);
                     }
                 }
             }
@@ -269,7 +373,7 @@ impl<T> FabricNetwork<T> {
             .flat_map(|l| l.iter())
             .map(|p| p.len())
             .sum::<usize>()
-            + self.transit.iter().map(|t| t.len()).sum::<usize>()
+            + self.transit.iter().map(Transit::len).sum::<usize>()
             + self.arrived.iter().map(|a| a.len()).sum::<usize>()
     }
 
@@ -283,7 +387,7 @@ impl<T> FabricNetwork<T> {
     /// bandwidth budget has saturated at its credit cap. The engine's
     /// idle-cycle skip requires this before jumping the clock.
     pub fn tick_is_noop(&self) -> bool {
-        self.transit.iter().all(Vec::is_empty)
+        self.transit.iter().all(Transit::is_empty)
             && self.arrived.iter().all(Vec::is_empty)
             && self
                 .links
@@ -311,7 +415,7 @@ impl<T> FabricNetwork<T> {
             .iter()
             .flat_map(|l| l.iter())
             .flat_map(|p| p.iter())
-            .chain(self.transit.iter().flatten())
+            .chain(self.transit.iter().flat_map(Transit::iter).map(|(_, p)| p))
             .chain(self.arrived.iter().flatten())
             .filter(|pkt| pred(&pkt.payload))
             .count()
@@ -335,9 +439,11 @@ impl<T> FabricNetwork<T> {
     /// Serialize the full fabric state (link pipes with queued and
     /// in-flight packets, link liveness, transit and arrival buffers,
     /// counters) into a checkpoint payload, encoding each payload with
-    /// `f`. The topology is not serialized — the restoring side rebuilds
-    /// from the same [`MachineConfig`] (the checkpoint config fingerprint
-    /// guarantees it matches).
+    /// `f`. Each chip's transit packets are written as one sequence in
+    /// arrival order; their routes are not saved, because they follow
+    /// from the link liveness. The topology is not serialized — the
+    /// restoring side rebuilds from the same [`MachineConfig`] (the
+    /// checkpoint config fingerprint guarantees it matches).
     pub fn save_with(
         &self,
         e: &mut mcgpu_types::Enc,
@@ -354,8 +460,9 @@ impl<T> FabricNetwork<T> {
                 self.links[chip][slot].save_with(e, &mut put_pkt);
                 e.put_bool(self.alive[chip][slot]);
             }
-            e.put_seq_len(self.transit[chip].len());
-            for pkt in &self.transit[chip] {
+            let waiting = self.transit[chip].in_arrival_order();
+            e.put_seq_len(waiting.len());
+            for (_, pkt) in waiting {
                 put_pkt(e, pkt);
             }
             e.put_seq_len(self.arrived[chip].len());
@@ -372,7 +479,8 @@ impl<T> FabricNetwork<T> {
     /// [`FabricNetwork::save_with`], decoding each payload with `f`. The
     /// fabric must have been constructed for the same machine (the slot
     /// count per chip is structural and is not re-validated here beyond
-    /// the chip count).
+    /// the chip count). Transit packets are routed only after every chip's
+    /// link liveness has been restored.
     ///
     /// # Errors
     /// Returns a decode error on truncated input or a chip-count mismatch.
@@ -399,17 +507,18 @@ impl<T> FabricNetwork<T> {
                     payload,
                 })
             };
+        let mut waiting = Vec::with_capacity(chips);
         for chip in 0..chips {
             for slot in 0..self.links[chip].len() {
                 self.links[chip][slot] = Pipe::load_with(d, &mut get_pkt)?;
                 self.alive[chip][slot] = d.get_bool()?;
             }
             let n = d.get_seq_len()?;
-            self.transit[chip].clear();
+            let mut parked = Vec::with_capacity(n);
             for _ in 0..n {
-                let pkt = get_pkt(d)?;
-                self.transit[chip].push(pkt);
+                parked.push(get_pkt(d)?);
             }
+            waiting.push(parked);
             let n = d.get_seq_len()?;
             self.arrived[chip].clear();
             for _ in 0..n {
@@ -420,6 +529,13 @@ impl<T> FabricNetwork<T> {
         }
         self.delivered = d.get_u64()?;
         self.bytes_sent = d.get_u64()?;
+        self.next_seq = 0;
+        for (chip, parked) in waiting.into_iter().enumerate() {
+            self.transit[chip] = Transit::new(self.links[chip].len());
+            for pkt in parked {
+                self.park(chip, pkt);
+            }
+        }
         Ok(())
     }
 }

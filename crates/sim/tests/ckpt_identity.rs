@@ -9,7 +9,7 @@ use mcgpu_sim::{SimBuilder, SimError, Simulator};
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::ckpt::{read_snapshot, write_snapshot, CkptError};
 use mcgpu_types::fault::{FaultEvent, FaultKind, FaultPlan};
-use mcgpu_types::{ChipId, LlcOrgKind, MachineConfig, ObsConfig};
+use mcgpu_types::{ChipId, LlcOrgKind, MachineConfig, ObsConfig, TopologyKind};
 use proptest::prelude::*;
 
 fn workload(cfg: &MachineConfig, bench: &str, accesses: usize) -> Workload {
@@ -120,6 +120,32 @@ fn restore_is_byte_identical_under_fault_injection() {
     // Cut *between* the two fault events: the first is already applied
     // (and its cursor advanced), the second must still fire on resume.
     let plan = degrading_plan(2_000);
+    let straight = run_straight(&cfg, LlcOrgKind::Sac, &plan, &wl);
+    let resumed = run_interrupted(&cfg, LlcOrgKind::Sac, &plan, &wl, 3_000)
+        .expect("run finished before the cut");
+    assert_eq!(straight.0, resumed.0, "RunStats diverged");
+    assert_eq!(straight.1, resumed.1, "obs report diverged");
+}
+
+/// Multi-hop fabric with a failed link: on an 8-chip ring SN keeps
+/// hundreds of packets waiting at intermediate chips, and the failure at
+/// cycle 2,000 re-routes them the long way round. The cut at 3,000 lands
+/// after the failure with that transit backlog in the snapshot, so the
+/// restore must rebuild each chip's waiting packets in arrival order on
+/// the re-routed slots.
+#[test]
+fn restore_is_byte_identical_on_an_8_chip_ring_after_a_link_failure() {
+    let mut cfg = MachineConfig::experiment_baseline();
+    cfg.chips = 8;
+    cfg.topology = TopologyKind::Ring;
+    let wl = workload(&cfg, "SN", 40_000);
+    let plan = FaultPlan::new(vec![FaultEvent {
+        cycle: 2_000,
+        kind: FaultKind::LinkFail {
+            a: ChipId(2),
+            b: ChipId(3),
+        },
+    }]);
     let straight = run_straight(&cfg, LlcOrgKind::Sac, &plan, &wl);
     let resumed = run_interrupted(&cfg, LlcOrgKind::Sac, &plan, &wl, 3_000)
         .expect("run finished before the cut");

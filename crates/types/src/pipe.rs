@@ -11,6 +11,14 @@ use std::collections::VecDeque;
 
 /// A FIFO with a per-cycle byte budget and a fixed traversal latency.
 ///
+/// The optional capacity bounds the waiting queue in *entries*, not bytes,
+/// and only [`Pipe::tick`] removes waiting entries. So once
+/// [`Pipe::try_push`] fails on a bounded pipe, every later `try_push`
+/// before the next `tick` fails too, whatever the item's byte size.
+/// `mcgpu_noc::FabricNetwork` relies on this: it re-injects a slot's
+/// waiting transit packets as a prefix of one FIFO and stops at the first
+/// refusal. A byte-based capacity would break that design.
+///
 /// # Example
 /// ```
 /// use mcgpu_types::pipe::Pipe;
@@ -276,6 +284,39 @@ mod tests {
         assert!(!p.can_push());
         p.tick(0); // starts transmitting item 1
         assert!(p.can_push());
+    }
+
+    /// The contract `FabricNetwork`'s per-slot transit FIFOs rest on: a
+    /// refused push stays refused until the next `tick`, whatever the
+    /// byte size, even when items in flight are popped in between.
+    #[test]
+    fn refused_push_stays_refused_until_tick() {
+        let sizes = [0u64, 1, 16, 144, 4096, 1 << 20];
+        for cap in 1..=4 {
+            for rate in [0.0, 16.0, 1e9] {
+                let mut p: Pipe<u32> = Pipe::new(rate, 2, Some(cap));
+                p.try_push(7, 16).unwrap();
+                p.tick(0);
+                let mut pushed = 0;
+                while p
+                    .try_push(pushed, sizes[pushed as usize % sizes.len()])
+                    .is_ok()
+                {
+                    pushed += 1;
+                }
+                assert_eq!(p.queued(), cap, "capacity counts entries");
+                for &bytes in &sizes {
+                    assert!(!p.can_push(), "cap {cap} rate {rate}");
+                    assert_eq!(
+                        p.try_push(99, bytes),
+                        Err(99),
+                        "cap {cap} rate {rate} bytes {bytes}"
+                    );
+                    while p.pop_ready(u64::MAX).is_some() {}
+                }
+                assert_eq!(p.queued(), cap);
+            }
+        }
     }
 
     #[test]
