@@ -358,7 +358,7 @@ fn main() {
         );
     }
     println!(
-        "ring traffic       : {:.1} B/cycle",
+        "fabric traffic     : {:.1} B/cycle",
         stats.ring_bytes as f64 / stats.cycles as f64
     );
     println!(

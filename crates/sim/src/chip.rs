@@ -1,14 +1,14 @@
 //! Per-chip hardware: clusters, NoCs, LLC slices, memory partition.
 
 use crate::cluster::Cluster;
-use crate::packet::{ReqEnvelope, RingPayload, RspEnvelope};
+use crate::packet::{FabricPayload, ReqEnvelope, RspEnvelope};
 use mcgpu_cache::{CacheConfig, SetAssocCache};
 use mcgpu_mem::MemoryPartition;
 use mcgpu_noc::Crossbar;
 use mcgpu_types::{AccessKind, ChipId, ClusterId, MachineConfig, Pipe};
 use std::collections::VecDeque;
 
-/// Queue depth of each crossbar output port and the ring egress.
+/// Queue depth of each crossbar output port and the fabric egress.
 const PORT_QUEUE: usize = 32;
 /// Queue depth in front of each LLC slice.
 const SLICE_QUEUE: usize = 48;
@@ -158,25 +158,25 @@ pub struct Chip {
     pub id: ChipId,
     /// SM clusters with their private L1s.
     pub clusters: Vec<Cluster>,
-    /// Request network: SM clusters (+ ring ingress) → LLC slices.
+    /// Request network: SM clusters (+ fabric ingress) → LLC slices.
     pub xbar_req: Crossbar<ReqEnvelope>,
-    /// Response network: slices/memory (+ ring ingress) → SM clusters.
+    /// Response network: slices/memory (+ fabric ingress) → SM clusters.
     pub xbar_rsp: Crossbar<RspEnvelope>,
     /// The LLC slices.
     pub slices: Vec<LlcSlice>,
     /// The chip's memory partition.
     pub memory: MemoryPartition,
     /// NoC leg carrying traffic towards the inter-chip links.
-    pub ring_egress: Pipe<RingPayload>,
-    /// Payloads waiting to enter `ring_egress`.
-    pub pending_ring: VecDeque<RingPayload>,
-    /// Payload that left `ring_egress` but found the ring link full.
-    pub ring_retry: Option<RingPayload>,
-    /// Requests (from the ring) waiting to enter `xbar_req`.
+    pub fabric_egress: Pipe<FabricPayload>,
+    /// Payloads waiting to enter `fabric_egress`.
+    pub pending_fabric: VecDeque<FabricPayload>,
+    /// Payload that left `fabric_egress` but found the fabric link full.
+    pub fabric_retry: Option<FabricPayload>,
+    /// Requests (from the fabric) waiting to enter `xbar_req`.
     pub pending_req: VecDeque<ReqEnvelope>,
     /// Responses waiting to enter `xbar_rsp`.
     pub pending_rsp: VecDeque<RspEnvelope>,
-    /// SM-side bypass path: ring → memory controller (Fig. 6, path 4).
+    /// SM-side bypass path: fabric → memory controller (Fig. 6, path 4).
     pub bypass_to_mem: Pipe<ReqEnvelope>,
 }
 
@@ -217,9 +217,9 @@ impl Chip {
                 cfg.dram_latency,
                 cfg.line_size,
             ),
-            ring_egress: Pipe::new(cfg.egress_gbs(id), 4, Some(PORT_QUEUE)),
-            pending_ring: VecDeque::new(),
-            ring_retry: None,
+            fabric_egress: Pipe::new(cfg.egress_gbs(id), 4, Some(PORT_QUEUE)),
+            pending_fabric: VecDeque::new(),
+            fabric_retry: None,
             pending_req: VecDeque::new(),
             pending_rsp: VecDeque::new(),
             bypass_to_mem: Pipe::latency_only(8),
@@ -236,9 +236,9 @@ impl Chip {
                 .iter()
                 .all(|s| s.service.is_empty() && s.pending.is_empty())
             && self.memory.is_empty()
-            && self.ring_egress.is_empty()
-            && self.pending_ring.is_empty()
-            && self.ring_retry.is_none()
+            && self.fabric_egress.is_empty()
+            && self.pending_fabric.is_empty()
+            && self.fabric_retry.is_none()
             && self.pending_req.is_empty()
             && self.pending_rsp.is_empty()
             && self.bypass_to_mem.is_empty()
@@ -247,7 +247,7 @@ impl Chip {
     /// Whether ticking every datapath element on this chip is a state
     /// no-op: [`is_quiescent`](Chip::is_quiescent) plus every bandwidth
     /// budget (crossbar bisections and ports, slice service pipes, memory
-    /// channels, ring egress, the bypass pipe) saturated at its credit cap,
+    /// channels, fabric egress, the bypass pipe) saturated at its credit cap,
     /// so the per-cycle refills no longer change any stored bits. This is
     /// the per-chip precondition for the engine's idle-cycle skip.
     pub fn tick_is_noop(&self) -> bool {
@@ -256,7 +256,7 @@ impl Chip {
             && self.xbar_rsp.tick_is_noop()
             && self.slices.iter().all(|s| s.service.tick_is_noop())
             && self.memory.tick_is_noop()
-            && self.ring_egress.tick_is_noop()
+            && self.fabric_egress.tick_is_noop()
             && self.bypass_to_mem.tick_is_noop()
     }
 
@@ -293,7 +293,7 @@ impl Chip {
     }
 
     /// Serialize the chip's full live state (clusters, crossbars, slices,
-    /// memory partition, ring-side queues) into a checkpoint payload.
+    /// memory partition, fabric-side queues) into a checkpoint payload.
     pub fn save(&self, e: &mut mcgpu_types::Enc) {
         e.put_seq_len(self.clusters.len());
         for cl in &self.clusters {
@@ -309,13 +309,13 @@ impl Chip {
             e.put_bool(s.disabled);
         }
         self.memory.save(e);
-        self.ring_egress.save_with(e, |e, p| p.save(e));
-        e.put_seq_len(self.pending_ring.len());
-        for p in &self.pending_ring {
+        self.fabric_egress.save_with(e, |e, p| p.save(e));
+        e.put_seq_len(self.pending_fabric.len());
+        for p in &self.pending_fabric {
             p.save(e);
         }
-        e.put_bool(self.ring_retry.is_some());
-        if let Some(p) = &self.ring_retry {
+        e.put_bool(self.fabric_retry.is_some());
+        if let Some(p) = &self.fabric_retry {
             p.save(e);
         }
         e.put_seq_len(self.pending_req.len());
@@ -363,14 +363,14 @@ impl Chip {
             s.disabled = d.get_bool()?;
         }
         self.memory.load_into(d)?;
-        self.ring_egress = Pipe::load_with(d, RingPayload::load)?;
+        self.fabric_egress = Pipe::load_with(d, FabricPayload::load)?;
         let n = d.get_seq_len()?;
-        self.pending_ring.clear();
+        self.pending_fabric.clear();
         for _ in 0..n {
-            self.pending_ring.push_back(RingPayload::load(d)?);
+            self.pending_fabric.push_back(FabricPayload::load(d)?);
         }
-        self.ring_retry = if d.get_bool()? {
-            Some(RingPayload::load(d)?)
+        self.fabric_retry = if d.get_bool()? {
+            Some(FabricPayload::load(d)?)
         } else {
             None
         };

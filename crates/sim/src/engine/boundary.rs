@@ -3,7 +3,7 @@
 
 use super::{SimError, Simulator};
 use crate::org::BoundaryAction;
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use mcgpu_cache::DataHome;
 use mcgpu_types::{CoherenceKind, LineAddr};
 
@@ -35,7 +35,7 @@ impl Simulator {
     }
 
     /// Send `line`'s data back to its home: the local partition directly,
-    /// or a writeback packet across the ring.
+    /// or a writeback packet across the fabric.
     pub(super) fn writeback_to_home(&mut self, c: usize, line: LineAddr) {
         let page = line.page(self.cfg.line_size, self.cfg.page_size);
         let home = self
@@ -45,7 +45,7 @@ impl Simulator {
         if home.index() == c {
             self.chips[c].memory.push_writeback(line);
         } else {
-            self.push_ring(c, RingPayload::Writeback { line, home });
+            self.push_fabric(c, FabricPayload::Writeback { line, home });
         }
     }
 

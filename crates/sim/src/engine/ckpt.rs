@@ -4,7 +4,7 @@
 //! A snapshot captures *everything the simulation's future depends on*:
 //! per-cluster issue cursors and MSHRs, every LLC slice (tags, sector
 //! bits, LRU, partition, stats), slice service pipes and pending-fetch
-//! tables, crossbar and ring packets in flight, DRAM channel state, the
+//! tables, crossbar and fabric packets in flight, DRAM channel state, the
 //! coherence sharer directory, the organization policy's controller
 //! state, the fault-plan cursor, watchdog state, accumulated statistics
 //! and the observability recorders. Restoring a snapshot into a freshly
@@ -35,7 +35,7 @@ use super::coherence::SharerDirectory;
 use super::diagnostics::SimError;
 use super::Simulator;
 use crate::org::Pause;
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use crate::stats::KernelStats;
 use mcgpu_mem::PageTable;
 use mcgpu_trace::Workload;
@@ -158,7 +158,7 @@ impl Simulator {
 
         // Memory-system and network state.
         self.page_table.save(&mut e);
-        self.ring.save_with(&mut e, |e, p| p.save(e));
+        self.fabric.save_with(&mut e, |e, p| p.save(e));
         e.put_seq_len(self.chips.len());
         for chip in &self.chips {
             chip.save(&mut e);
@@ -276,7 +276,7 @@ impl Simulator {
         }
 
         self.page_table = PageTable::load(&mut d)?;
-        self.ring.load_into(&mut d, RingPayload::load)?;
+        self.fabric.load_into(&mut d, FabricPayload::load)?;
 
         // Re-attach the in-progress kernel's access streams *before*
         // decoding the chips: cluster cursor validation needs the real

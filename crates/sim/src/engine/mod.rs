@@ -5,7 +5,7 @@
 //! into focused submodules:
 //!
 //! * `tick` — the per-cycle datapath pipeline (issue, crossbars, slices,
-//!   memory, ring, controller hooks);
+//!   memory, fabric, controller hooks);
 //! * `coherence` — the hardware-coherence sharer directory and write
 //!   invalidation;
 //! * `boundary` — kernel-boundary flush/writeback/drain sequencing;
@@ -38,7 +38,7 @@ use crate::chip::Chip;
 use crate::cluster::Cluster;
 use crate::obs::{ChipSample, MachineSnapshot, ObsReport, Observer};
 use crate::org::{self, LlcOrgPolicy, Pause, RouteMode};
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use crate::stats::{KernelStats, RunStats};
 use coherence::SharerDirectory;
 use mcgpu_mem::{DramRequest, PageTable};
@@ -217,7 +217,7 @@ pub struct Simulator {
     /// decision, plus the organization's internal controller state.
     policy: Box<dyn LlcOrgPolicy>,
     chips: Vec<Chip>,
-    ring: FabricNetwork<RingPayload>,
+    fabric: FabricNetwork<FabricPayload>,
     page_table: PageTable,
     cycle: u64,
     max_cycles: u64,
@@ -296,7 +296,7 @@ pub struct Simulator {
     // --- per-cycle scratch buffers (reused, never reallocated in steady
     // state) ---
     /// Ring arrivals being dispatched this cycle.
-    ring_scratch: Vec<RingPayload>,
+    fabric_scratch: Vec<FabricPayload>,
     /// DRAM completions being processed this cycle.
     dram_scratch: Vec<DramRequest>,
 }
@@ -322,12 +322,12 @@ impl Simulator {
             .enabled()
             .then(|| Box::new(Observer::new(obs, cfg.chips)));
         let chips: Vec<Chip> = ChipId::all(cfg.chips).map(|c| Chip::new(&cfg, c)).collect();
-        let ring = FabricNetwork::new(&cfg, 32);
+        let fabric = FabricNetwork::new(&cfg, 32);
 
         let mut sim = Simulator {
             page_table: PageTable::new(cfg.page_size),
             chips,
-            ring,
+            fabric,
             cycle: 0,
             max_cycles,
             next_id: 0,
@@ -362,7 +362,7 @@ impl Simulator {
             occ_local: 0.0,
             occ_fill: 0.0,
             kernels: Vec::new(),
-            ring_scratch: Vec::new(),
+            fabric_scratch: Vec::new(),
             dram_scratch: Vec::new(),
             cfg,
         };
@@ -474,7 +474,7 @@ impl Simulator {
                 self.work_before = self.cluster_reads_total() + self.writes_done;
 
                 let (now, ring_bytes, mem_bytes) =
-                    (self.cycle, self.ring.bytes_sent(), self.mem_bytes_total());
+                    (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
                 self.policy.begin_kernel(now, ring_bytes, mem_bytes);
             }
             let kernel_start_cycle = self.kernel_start_cycle;
@@ -539,7 +539,7 @@ impl Simulator {
     }
 
     fn machine_quiescent(&self) -> bool {
-        self.in_flight == 0 && self.ring.is_empty() && self.chips.iter().all(Chip::is_quiescent)
+        self.in_flight == 0 && self.fabric.is_empty() && self.chips.iter().all(Chip::is_quiescent)
     }
 
     /// Number of clusters still executing their current kernel stream.
@@ -601,7 +601,7 @@ impl Simulator {
                             .sum::<usize>()) as u64,
                     llc_accesses: cl.accesses,
                     llc_hits: cl.hits,
-                    ring_sent_bytes: self.ring.bytes_sent_from(ChipId(c as u8)),
+                    ring_sent_bytes: self.fabric.bytes_sent_from(ChipId(c as u8)),
                 }
             })
             .collect();
@@ -611,8 +611,8 @@ impl Simulator {
             writes: self.writes_done,
             in_flight: self.in_flight,
             active_clusters: self.active_clusters() as u64,
-            ring_bytes: self.ring.bytes_sent(),
-            ring_delivered: self.ring.delivered(),
+            ring_bytes: self.fabric.bytes_sent(),
+            ring_delivered: self.fabric.delivered(),
             noc_bytes: self
                 .chips
                 .iter()
@@ -712,7 +712,7 @@ impl Simulator {
             } else {
                 0.0
             },
-            ring_bytes: self.ring.bytes_sent(),
+            ring_bytes: self.fabric.bytes_sent(),
             dram_reads: self.chips.iter().map(|c| c.memory.served_reads()).sum(),
             dram_writes: self.chips.iter().map(|c| c.memory.served_writes()).sum(),
             overhead_cycles: self.overhead_cycles,

@@ -75,8 +75,8 @@ impl Simulator {
         if self.in_flight != 0 || self.pause != Pause::Running {
             return;
         }
-        if !self.ring.is_empty()
-            || !self.ring.tick_is_noop()
+        if !self.fabric.is_empty()
+            || !self.fabric.tick_is_noop()
             || !self.chips.iter().all(Chip::tick_is_noop)
         {
             return;
