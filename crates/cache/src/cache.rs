@@ -145,7 +145,11 @@ impl Way {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set in one allocation, set-major (`assoc` ways
+    /// per set; `set_range` maps a set to its slice).
+    ways: Vec<Way>,
+    /// Kept so the set index costs one division, not two.
+    num_sets: usize,
     clock: u64,
     /// Number of ways reserved for local data when partitioned; `None` means
     /// unpartitioned.
@@ -161,7 +165,8 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         SetAssocCache {
-            sets: vec![vec![Way::empty(); cfg.assoc]; num_sets],
+            ways: vec![Way::empty(); num_sets * cfg.assoc],
+            num_sets,
             clock: 0,
             local_ways: None,
             stats: CacheStats::default(),
@@ -206,6 +211,12 @@ impl SetAssocCache {
         self.local_ways.map(|l| (l, self.cfg.assoc - l))
     }
 
+    /// The indices of set `set`'s ways in `ways`.
+    #[inline]
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.cfg.assoc..(set + 1) * self.cfg.assoc
+    }
+
     #[inline]
     fn set_index(&self, line: LineAddr) -> usize {
         let mut x = line.index();
@@ -217,7 +228,7 @@ impl SetAssocCache {
             x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
             x ^= x >> 31;
         }
-        (x % self.sets.len() as u64) as usize
+        (x % self.num_sets as u64) as usize
     }
 
     #[inline]
@@ -239,9 +250,9 @@ impl SetAssocCache {
     ) -> LookupOutcome {
         self.clock += 1;
         let mask = self.sector_mask(sector);
-        let set = self.set_index(line);
+        let set = self.set_range(self.set_index(line));
         self.stats.accesses += 1;
-        for way in &mut self.sets[set] {
+        for way in &mut self.ways[set] {
             if way.valid && way.tag == line.index() {
                 way.stamp = self.clock;
                 if way.sectors & mask != 0 {
@@ -262,8 +273,8 @@ impl SetAssocCache {
     /// Check residency without touching LRU or stats.
     pub fn probe(&self, line: LineAddr, sector: Option<SectorId>) -> bool {
         let mask = self.sector_mask(sector);
-        let set = self.set_index(line);
-        self.sets[set]
+        let set = self.set_range(self.set_index(line));
+        self.ways[set]
             .iter()
             .any(|w| w.valid && w.tag == line.index() && w.sectors & mask != 0)
     }
@@ -282,11 +293,11 @@ impl SetAssocCache {
     ) -> Option<Eviction> {
         self.clock += 1;
         let mask = self.sector_mask(sector);
-        let set = self.set_index(line);
+        let set = self.set_range(self.set_index(line));
         self.stats.fills += 1;
 
         // Already resident (sector fill into an existing line)?
-        if let Some(way) = self.sets[set]
+        if let Some(way) = self.ways[set.clone()]
             .iter_mut()
             .find(|w| w.valid && w.tag == line.index())
         {
@@ -312,7 +323,7 @@ impl SetAssocCache {
         }
 
         // Prefer an invalid way, else evict the LRU way of the pool.
-        let ways = &mut self.sets[set];
+        let ways = &mut self.ways[set];
         let victim_idx = pool
             .clone()
             .find(|&i| !ways[i].valid)
@@ -341,8 +352,8 @@ impl SetAssocCache {
 
     /// Invalidate a single line if resident, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let set = self.set_index(line);
-        for way in &mut self.sets[set] {
+        let set = self.set_range(self.set_index(line));
+        for way in &mut self.ways[set] {
             if way.valid && way.tag == line.index() {
                 way.valid = false;
                 return Some(way.dirty);
@@ -356,16 +367,14 @@ impl SetAssocCache {
     /// need writing back.
     pub fn flush_all(&mut self) -> Vec<LineAddr> {
         let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for way in set {
-                if way.valid {
-                    if way.dirty {
-                        dirty.push(LineAddr(way.tag));
-                    }
-                    way.valid = false;
-                    way.dirty = false;
-                    way.sectors = 0;
+        for way in &mut self.ways {
+            if way.valid {
+                if way.dirty {
+                    dirty.push(LineAddr(way.tag));
                 }
+                way.valid = false;
+                way.dirty = false;
+                way.sectors = 0;
             }
         }
         dirty
@@ -377,12 +386,10 @@ impl SetAssocCache {
     /// pushed to memory before replicas can appear elsewhere).
     pub fn writeback_all_dirty(&mut self) -> Vec<LineAddr> {
         let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for way in set {
-                if way.valid && way.dirty {
-                    dirty.push(LineAddr(way.tag));
-                    way.dirty = false;
-                }
+        for way in &mut self.ways {
+            if way.valid && way.dirty {
+                dirty.push(LineAddr(way.tag));
+                way.dirty = false;
             }
         }
         dirty
@@ -394,16 +401,14 @@ impl SetAssocCache {
     /// lines that need writing back.
     pub fn flush_home(&mut self, home: DataHome) -> Vec<LineAddr> {
         let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for way in set {
-                if way.valid && way.home == home {
-                    if way.dirty {
-                        dirty.push(LineAddr(way.tag));
-                    }
-                    way.valid = false;
-                    way.dirty = false;
-                    way.sectors = 0;
+        for way in &mut self.ways {
+            if way.valid && way.home == home {
+                if way.dirty {
+                    dirty.push(LineAddr(way.tag));
                 }
+                way.valid = false;
+                way.dirty = false;
+                way.sectors = 0;
             }
         }
         dirty
@@ -411,11 +416,7 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn len(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 
     /// Whether the cache holds no valid lines.
@@ -427,7 +428,7 @@ impl SetAssocCache {
     pub fn occupancy_by_home(&self) -> (usize, usize) {
         let mut local = 0;
         let mut remote = 0;
-        for way in self.sets.iter().flat_map(|s| s.iter()) {
+        for way in &self.ways {
             if way.valid {
                 match way.home {
                     DataHome::Local => local += 1,
@@ -444,7 +445,7 @@ impl SetAssocCache {
     /// side rebuilds the cache from the same [`CacheConfig`] and
     /// [`SetAssocCache::load_into`] checks the shapes agree.
     pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_usize(self.sets.len());
+        e.put_usize(self.num_sets);
         e.put_usize(self.cfg.assoc);
         e.put_u64(self.clock);
         match self.local_ways {
@@ -466,7 +467,7 @@ impl SetAssocCache {
         ] {
             e.put_u64(v);
         }
-        for way in self.sets.iter().flat_map(|s| s.iter()) {
+        for way in &self.ways {
             e.put_u64(way.tag);
             e.put_bool(way.valid);
             e.put_bool(way.dirty);
@@ -485,11 +486,10 @@ impl SetAssocCache {
     pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
         let sets = d.get_usize()?;
         let assoc = d.get_usize()?;
-        if sets != self.sets.len() || assoc != self.cfg.assoc {
+        if sets != self.num_sets || assoc != self.cfg.assoc {
             return Err(mcgpu_types::CkptError::Decode(format!(
                 "cache geometry mismatch: snapshot {sets}x{assoc}, live {}x{}",
-                self.sets.len(),
-                self.cfg.assoc
+                self.num_sets, self.cfg.assoc
             )));
         }
         self.clock = d.get_u64()?;
@@ -507,7 +507,7 @@ impl SetAssocCache {
             evictions: d.get_u64()?,
             fill_rejections: d.get_u64()?,
         };
-        for way in self.sets.iter_mut().flat_map(|s| s.iter_mut()) {
+        for way in &mut self.ways {
             way.tag = d.get_u64()?;
             way.valid = d.get_bool()?;
             way.dirty = d.get_bool()?;
