@@ -23,7 +23,7 @@ use mcgpu_mem::interleave;
 use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, TraceParams};
 use mcgpu_types::json::CanonicalWriter;
-use mcgpu_types::{ChipId, LineAddr, LlcOrgKind, MachineConfig};
+use mcgpu_types::{ChipId, LineAddr, LlcOrgKind, MachineConfig, TopologyKind};
 use sac::eab::{ArchBandwidth, EabInputs, EabModel};
 use sac::Crd;
 use std::hint::black_box;
@@ -186,6 +186,33 @@ fn main() {
                     .build()
                     .expect("valid machine configuration")
                     .run(black_box(wl))
+                    .unwrap();
+            }));
+        }
+    }
+
+    // The same SN SAC cell on multi-hop rings, where packets wait at
+    // intermediate chips: the fabric's transit handling dominates here.
+    {
+        let p = profiles::by_name("SN").expect("profile");
+        let params = TraceParams {
+            total_accesses: 20_000,
+            ..TraceParams::quick()
+        };
+        for (name, chips) in [
+            ("end_to_end_sn_20k_sac_ring8", 8),
+            ("end_to_end_sn_20k_sac_ring16", 16),
+        ] {
+            let mut cfg = MachineConfig::experiment_baseline();
+            cfg.chips = chips;
+            cfg.topology = TopologyKind::Ring;
+            let wl = generate(&cfg, &p, &params);
+            samples.push(measure(name, target, move || {
+                SimBuilder::new(cfg.clone())
+                    .organization(LlcOrgKind::Sac)
+                    .build()
+                    .expect("valid machine configuration")
+                    .run(black_box(&wl))
                     .unwrap();
             }));
         }
