@@ -235,22 +235,18 @@ impl<T> FabricNetwork<T> {
     /// This is the only place a route can change, so it re-routes every
     /// waiting packet on every chip, in arrival order.
     pub fn fail_link(&mut self, a: ChipId, b: ChipId) {
-        let mut stranded = Vec::new();
-        for (from, to) in [(a, b), (b, a)] {
-            let slot = self.slot_towards(from, to);
-            self.alive[from.index()][slot] = false;
-            for pkt in self.links[from.index()][slot].drain() {
-                stranded.push((from.index(), pkt));
-            }
-        }
         let mut waiting: Vec<Vec<Parked<T>>> = self
             .transit
             .iter_mut()
             .map(Transit::take_in_arrival_order)
             .collect();
-        for (chip, pkt) in stranded {
-            waiting[chip].push((self.next_seq, pkt));
-            self.next_seq += 1;
+        for (from, to) in [(a, b), (b, a)] {
+            let slot = self.slot_towards(from, to);
+            self.alive[from.index()][slot] = false;
+            for pkt in self.links[from.index()][slot].drain() {
+                waiting[from.index()].push((self.next_seq, pkt));
+                self.next_seq += 1;
+            }
         }
         for (chip, parked) in waiting.into_iter().enumerate() {
             for p in parked {
