@@ -191,6 +191,27 @@ fn main() {
         }
     }
 
+    // A 100k-access memory-side CFD cell on the 4-chip ring: cluster MSHR
+    // files fill to their limit and slices hold deep fetch tables, so the
+    // miss-status lookups are on the hot path.
+    {
+        let cfg = MachineConfig::experiment_baseline();
+        let p = profiles::by_name("CFD").expect("profile");
+        let params = TraceParams {
+            total_accesses: 100_000,
+            ..TraceParams::quick()
+        };
+        let wl = generate(&cfg, &p, &params);
+        samples.push(measure("end_to_end_cfd_100k_memory_side", target, || {
+            SimBuilder::new(cfg.clone())
+                .organization(LlcOrgKind::MemorySide)
+                .build()
+                .expect("valid machine configuration")
+                .run(black_box(&wl))
+                .unwrap();
+        }));
+    }
+
     // The same SN SAC cell on multi-hop rings, where packets wait at
     // intermediate chips: the fabric's transit handling dominates here.
     {

@@ -270,6 +270,16 @@ impl SetAssocCache {
         LookupOutcome::Miss
     }
 
+    /// Count a lookup that repeats a tag-array [`Miss`](LookupOutcome::Miss)
+    /// with nothing filled in between: the same clock and statistics effect
+    /// as that [`lookup`](SetAssocCache::lookup), without probing the set.
+    /// The caller must know the line is still absent.
+    pub fn repeat_miss(&mut self) {
+        self.clock += 1;
+        self.stats.accesses += 1;
+        self.stats.misses += 1;
+    }
+
     /// Check residency without touching LRU or stats.
     pub fn probe(&self, line: LineAddr, sector: Option<SectorId>) -> bool {
         let mask = self.sector_mask(sector);

@@ -1,6 +1,7 @@
 //! Per-chip hardware: clusters, NoCs, LLC slices, memory partition.
 
 use crate::cluster::Cluster;
+use crate::mshr::PendingFetches;
 use crate::packet::{FabricPayload, ReqEnvelope, RspEnvelope};
 use mcgpu_cache::{CacheConfig, SetAssocCache};
 use mcgpu_mem::MemoryPartition;
@@ -12,99 +13,6 @@ use std::collections::VecDeque;
 const PORT_QUEUE: usize = 32;
 /// Queue depth in front of each LLC slice.
 const SLICE_QUEUE: usize = 48;
-
-/// Slice MSHRs: outstanding line fetches with the requests merged onto
-/// them, stored as a flat `(line index, waiters)` table with a recycled
-/// waiter-list pool. The table holds one entry per fetch in flight at one
-/// slice — small enough that a linear scan beats hashing — and completed
-/// entries return their `Vec` to the pool, so steady-state operation does
-/// not allocate.
-#[derive(Debug, Default)]
-pub struct PendingFetches {
-    entries: Vec<(u64, Vec<ReqEnvelope>)>,
-    spare: Vec<Vec<ReqEnvelope>>,
-}
-
-impl PendingFetches {
-    /// Whether a fetch for `line` is outstanding.
-    pub fn contains(&self, line: u64) -> bool {
-        self.entries.iter().any(|(l, _)| *l == line)
-    }
-
-    /// Merge `env` onto the outstanding fetch for `line`, if one exists.
-    pub fn merge(&mut self, line: u64, env: ReqEnvelope) -> bool {
-        if let Some((_, waiters)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
-            waiters.push(env);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Register a new outstanding fetch for `line` with no waiters yet (the
-    /// initiating request rides the memory path itself).
-    pub fn begin(&mut self, line: u64) {
-        debug_assert!(!self.contains(line));
-        let waiters = self.spare.pop().unwrap_or_default();
-        self.entries.push((line, waiters));
-    }
-
-    /// Complete the fetch for `line`, returning its merged waiters. Give
-    /// the `Vec` back via [`recycle`](PendingFetches::recycle) once drained.
-    pub fn take(&mut self, line: u64) -> Option<Vec<ReqEnvelope>> {
-        let i = self.entries.iter().position(|(l, _)| *l == line)?;
-        Some(self.entries.swap_remove(i).1)
-    }
-
-    /// Return a drained waiter list to the pool.
-    pub fn recycle(&mut self, mut waiters: Vec<ReqEnvelope>) {
-        waiters.clear();
-        self.spare.push(waiters);
-    }
-
-    /// Total requests waiting on outstanding fetches.
-    pub fn waiting(&self) -> usize {
-        self.entries.iter().map(|(_, w)| w.len()).sum()
-    }
-
-    /// Whether no fetch is outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Serialize the outstanding fetches into a checkpoint payload. The
-    /// recycled spare pool is allocation-only state and is not saved.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.entries.len());
-        for (line, waiters) in &self.entries {
-            e.put_u64(*line);
-            e.put_seq_len(waiters.len());
-            for w in waiters {
-                w.save(e);
-            }
-        }
-    }
-
-    /// Restore state saved by [`PendingFetches::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let n = d.get_seq_len()?;
-        self.entries.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let m = d.get_seq_len()?;
-            let mut waiters = self.spare.pop().unwrap_or_default();
-            waiters.reserve(m);
-            for _ in 0..m {
-                waiters.push(ReqEnvelope::load(d)?);
-            }
-            self.entries.push((line, waiters));
-        }
-        Ok(())
-    }
-}
 
 /// One LLC slice: the cache array behind a bandwidth/latency service pipe.
 #[derive(Debug)]

@@ -1,61 +1,10 @@
 //! SM-cluster frontend: trace-driven request generation behind a private
 //! write-through L1 with MSHRs.
 
+use crate::mshr::MshrFile;
 use mcgpu_cache::{CacheConfig, DataHome, LookupOutcome, SetAssocCache};
 use mcgpu_types::{AccessKind, ClusterId, LineAddr, MachineConfig, MemAccess, SectorId};
 use std::sync::Arc;
-
-/// The cluster's MSHR file: a preallocated flat table of
-/// `(line index, merged count)` entries, linear-scanned on lookup. The
-/// table never exceeds `mshrs_per_cluster` entries (64 in the baseline),
-/// where a scan beats hashing and the storage never reallocates on the
-/// per-cycle path.
-#[derive(Debug)]
-struct MshrFile {
-    entries: Vec<(u64, u32)>,
-}
-
-impl MshrFile {
-    fn with_capacity(limit: usize) -> Self {
-        MshrFile {
-            entries: Vec::with_capacity(limit),
-        }
-    }
-
-    /// Merge another access onto an outstanding miss. Returns `false` when
-    /// no fetch for `line` is in flight.
-    fn merge(&mut self, line: u64) -> bool {
-        if let Some((_, merged)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
-            *merged += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Allocate a new entry for `line` with one merged access.
-    fn allocate(&mut self, line: u64) {
-        debug_assert!(!self.entries.iter().any(|(l, _)| *l == line));
-        self.entries.push((line, 1));
-    }
-
-    /// Retire the entry for `line`, returning its merged count (1 when the
-    /// fill had no registered miss, e.g. an L1 refill after a flush).
-    fn retire(&mut self, line: u64) -> u32 {
-        match self.entries.iter().position(|(l, _)| *l == line) {
-            Some(i) => self.entries.swap_remove(i).1,
-            None => 1,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
 
 /// One SM cluster (two SMs sharing a NoC port): issues the accesses of its
 /// trace stream, filters them through the private L1, merges outstanding
@@ -73,6 +22,11 @@ pub struct Cluster {
     mshr_limit: usize,
     /// Read misses in flight: line index → number of merged accesses.
     mshrs: MshrFile,
+    /// Set when `issue` stalled on a full MSHR file after a plain L1 miss.
+    /// Until the L1 or the MSHR set changes (`complete_read`, `flush_l1`,
+    /// `load_kernel`, `load_into`), every retry would repeat that same
+    /// miss, so `issue` only counts it. Derived state: never serialized.
+    mshr_stalled: bool,
     /// An access that missed the L1 but whose request could not be injected
     /// (backpressure); retried before the trace advances.
     deferred: Option<MemAccess>,
@@ -98,6 +52,7 @@ impl Cluster {
             compute_gap: 0,
             mshr_limit: cfg.mshrs_per_cluster,
             mshrs: MshrFile::with_capacity(cfg.mshrs_per_cluster),
+            mshr_stalled: false,
             deferred: None,
             reads_done: 0,
             writes_issued: 0,
@@ -120,6 +75,7 @@ impl Cluster {
         self.gap_remaining = 0;
         self.compute_gap = compute_gap;
         self.deferred = None;
+        self.mshr_stalled = false;
     }
 
     /// The sector of `access` if the machine uses sectored caches.
@@ -146,6 +102,10 @@ impl Cluster {
             self.gap_remaining -= 1;
             return None;
         }
+        if self.mshr_stalled {
+            self.l1.repeat_miss();
+            return None;
+        }
         let acc = *self.trace.get(self.cursor)?;
         let line = acc.addr.line(self.line_size);
         let sector = self.sector_of(&acc);
@@ -161,7 +121,7 @@ impl Cluster {
                         // the issue width.
                         None
                     }
-                    LookupOutcome::Miss | LookupOutcome::SectorMiss => {
+                    outcome @ (LookupOutcome::Miss | LookupOutcome::SectorMiss) => {
                         if self.mshrs.merge(line.index()) {
                             // Merged into the outstanding miss.
                             self.cursor += 1;
@@ -169,7 +129,10 @@ impl Cluster {
                             return Some((acc, false));
                         }
                         if self.mshrs.len() >= self.mshr_limit {
-                            return None; // stall: no MSHR free
+                            // Stall: no MSHR free. A sector miss stamps the
+                            // line's LRU, so only a plain miss is memoized.
+                            self.mshr_stalled = outcome == LookupOutcome::Miss;
+                            return None;
                         }
                         self.mshrs.allocate(line.index());
                         self.cursor += 1;
@@ -204,6 +167,7 @@ impl Cluster {
         let sector = self.sector_of(access);
         self.l1.fill(line, sector, DataHome::Local, false);
         let merged = self.mshrs.retire(line.index());
+        self.mshr_stalled = false;
         self.reads_done += merged as u64;
         merged
     }
@@ -266,6 +230,7 @@ impl Cluster {
     pub fn flush_l1(&mut self) {
         let dirty = self.l1.flush_all();
         debug_assert!(dirty.is_empty(), "write-through L1 is never dirty");
+        self.mshr_stalled = false;
     }
 
     /// L1 statistics.
@@ -281,11 +246,7 @@ impl Cluster {
         e.put_usize(self.cursor);
         e.put_u32(self.gap_remaining);
         e.put_u32(self.compute_gap);
-        e.put_seq_len(self.mshrs.entries.len());
-        for &(line, merged) in &self.mshrs.entries {
-            e.put_u64(line);
-            e.put_u32(merged);
-        }
+        self.mshrs.save(e);
         e.put_bool(self.deferred.is_some());
         if let Some(acc) = &self.deferred {
             e.put_access(acc);
@@ -303,6 +264,7 @@ impl Cluster {
     /// Returns a decode error on truncated or malformed input, or when the
     /// saved cursor runs past the attached trace.
     pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
+        self.mshr_stalled = false;
         self.l1.load_into(d)?;
         let cursor = d.get_usize()?;
         if cursor > self.trace.len() {
@@ -314,13 +276,7 @@ impl Cluster {
         self.cursor = cursor;
         self.gap_remaining = d.get_u32()?;
         self.compute_gap = d.get_u32()?;
-        let n = d.get_seq_len()?;
-        self.mshrs.entries.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let merged = d.get_u32()?;
-            self.mshrs.entries.push((line, merged));
-        }
+        self.mshrs.load_into(d)?;
         self.deferred = if d.get_bool()? {
             Some(d.get_access()?)
         } else {

@@ -375,6 +375,12 @@ impl Simulator {
         &self.cfg
     }
 
+    /// The chips' live state (clusters, slices, queues), read-only, for
+    /// inspecting a stopped machine.
+    pub fn chips(&self) -> &[Chip] {
+        &self.chips
+    }
+
     /// The simulated LLC organization.
     pub fn organization(&self) -> LlcOrgKind {
         self.policy.kind()

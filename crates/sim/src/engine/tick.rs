@@ -334,12 +334,6 @@ impl Simulator {
             ReqStage::ToLocalSlice => {
                 debug_assert_eq!(chip_id, requester);
                 let home = env.req.home;
-                let data_home = if home == chip_id {
-                    DataHome::Local
-                } else {
-                    DataHome::Remote
-                };
-                let _ = data_home;
                 if is_write {
                     if hit {
                         self.coherence_on_write(c, line);
@@ -585,10 +579,7 @@ impl Simulator {
         debug_assert_eq!(env.rsp.dest.chip.index(), c);
         let cl = env.rsp.dest.index as usize;
         self.chips[c].clusters[cl].complete_read(&env.rsp.access);
-        let idx = ResponseOrigin::ALL
-            .iter()
-            .position(|&o| o == env.rsp.origin)
-            .expect("known origin");
+        let idx = env.rsp.origin.index();
         self.responses_by_origin[idx] += 1;
         self.in_flight -= 1;
         let now = self.cycle;

@@ -39,6 +39,7 @@ pub mod chip;
 pub mod cluster;
 pub mod dynamic;
 pub mod engine;
+pub mod mshr;
 pub mod obs;
 pub mod org;
 pub mod packet;

@@ -419,13 +419,9 @@ pub struct ObsReport {
 impl ObsReport {
     /// The latency histogram for one request class, merged across chips.
     pub fn class_histogram(&self, origin: ResponseOrigin) -> LatencyHistogram {
-        let idx = ResponseOrigin::ALL
-            .iter()
-            .position(|&o| o == origin)
-            .expect("origin in ALL");
         let mut m = LatencyHistogram::new();
         for chip in &self.histograms {
-            m.merge(&chip[idx]);
+            m.merge(&chip[origin.index()]);
         }
         m
     }

@@ -136,14 +136,10 @@ impl RunStats {
 
     /// Responses per cycle from one origin (Fig. 10 breakdown).
     pub fn response_rate(&self, origin: ResponseOrigin) -> f64 {
-        let idx = ResponseOrigin::ALL
-            .iter()
-            .position(|&o| o == origin)
-            .expect("origin in ALL");
         if self.cycles == 0 {
             0.0
         } else {
-            self.responses_by_origin[idx] as f64 / self.cycles as f64
+            self.responses_by_origin[origin.index()] as f64 / self.cycles as f64
         }
     }
 

@@ -153,6 +153,74 @@ fn restore_is_byte_identical_on_an_8_chip_ring_after_a_link_failure() {
     assert_eq!(straight.1, resumed.1, "obs report diverged");
 }
 
+/// Memory-side CFD fills cluster MSHR files — a stalled cluster then
+/// only counts its repeated L1 miss each cycle — and leaves fetches
+/// pending at the slices. A cut there must restore both line indexes from
+/// the saved entry order and start with no stall memo. The restore goes
+/// over a machine stopped later in the same run, with other clusters
+/// stalled and other entries indexed, and must still re-save the snapshot
+/// byte for byte, reach the uncut run's snapshot at the later cycle, and
+/// finish with the uncut `RunStats`.
+#[test]
+fn restore_is_byte_identical_while_cluster_mshrs_are_full() {
+    let cfg = MachineConfig::experiment_baseline();
+    let wl = workload(&cfg, "CFD", 100_000);
+    let plan = FaultPlan::none();
+    let org = LlcOrgKind::MemorySide;
+    let (cut, later) = (5_000, 6_500);
+    let stop_at = |cycles| {
+        let mut sim = builder(&cfg, org, &plan)
+            .max_cycles(cycles)
+            .build()
+            .unwrap();
+        assert!(matches!(sim.run(&wl), Err(SimError::CycleLimit { .. })));
+        let full: Vec<usize> = sim
+            .chips()
+            .iter()
+            .flat_map(|chip| &chip.clusters)
+            .enumerate()
+            .filter(|(_, cl)| cl.outstanding() == cfg.mshrs_per_cluster)
+            .map(|(i, _)| i)
+            .collect();
+        let fetching = sim.chips().iter().flat_map(|chip| &chip.slices);
+        assert!(
+            !full.is_empty(),
+            "no cluster's MSHR file is full at {cycles}"
+        );
+        assert!(
+            fetching.clone().any(|s| !s.pending.is_empty()),
+            "no slice has a fetch pending at {cycles}"
+        );
+        (sim, full)
+    };
+
+    let (victim, full_at_cut) = stop_at(cut);
+    let payload = victim.checkpoint(&wl);
+    drop(victim);
+    let (mut resumed, full_later) = stop_at(later);
+    assert!(
+        full_later.iter().any(|i| !full_at_cut.contains(i)),
+        "the later machine must have clusters stalled that the snapshot does not"
+    );
+    let uncut_later = resumed.checkpoint(&wl);
+
+    resumed.restore(&payload, &wl).expect("snapshot restores");
+    assert!(
+        resumed.checkpoint(&wl) == payload,
+        "re-saved snapshot differs"
+    );
+    assert!(matches!(resumed.run(&wl), Err(SimError::CycleLimit { .. })));
+    assert!(
+        resumed.checkpoint(&wl) == uncut_later,
+        "snapshot at cycle {later} differs from the uncut run's"
+    );
+
+    let straight = run_straight(&cfg, org, &plan, &wl);
+    let resumed = run_interrupted(&cfg, org, &plan, &wl, cut).expect("cut lands mid-run");
+    assert_eq!(straight.0, resumed.0, "RunStats diverged");
+    assert_eq!(straight.1, resumed.1, "obs report diverged");
+}
+
 #[test]
 fn double_interruption_still_matches_the_straight_run() {
     let cfg = MachineConfig::experiment_baseline();

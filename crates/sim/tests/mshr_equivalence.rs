@@ -1,0 +1,292 @@
+//! Differential oracle for the line-indexed miss-status tables.
+//!
+//! `MshrFile` (an SM cluster's L1 MSHRs) and `PendingFetches` (an LLC
+//! slice's outstanding fetches) keep their entries in a `Vec` and find a
+//! line through an open-addressed index of positions. [`ScanMshrs`] and
+//! [`ScanFetches`] below are the straightforward models they must match:
+//! the same `Vec`, searched by a linear scan. The properties drive each
+//! pair with the same random operation sequences — over line sets small
+//! enough to merge often and large enough to grow the index several times
+//! and build long probe runs — and require the same return values after
+//! every step and byte-identical checkpoint payloads, which record every
+//! entry in order (so `swap_remove`'s reordering must match too): after
+//! every step for the MSHR file, every 16 steps for the slice table. Now and
+//! then the table under test is replaced by one restored from its own
+//! snapshot into a table holding other entries, so the index rebuild on
+//! load is held to the same oracle.
+
+use mcgpu_sim::mshr::{MshrFile, PendingFetches};
+use mcgpu_sim::packet::{ReqEnvelope, ReqStage};
+use mcgpu_types::{ChipId, ClusterId, Dec, Enc, MemAccess, Request, RequestId};
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// The linear-scan MSHR file.
+#[derive(Default)]
+struct ScanMshrs {
+    entries: Vec<(u64, u32)>,
+}
+
+impl ScanMshrs {
+    fn merge(&mut self, line: u64) -> bool {
+        if let Some((_, merged)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
+            *merged += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn allocate(&mut self, line: u64) {
+        self.entries.push((line, 1));
+    }
+
+    fn retire(&mut self, line: u64) -> u32 {
+        match self.entries.iter().position(|(l, _)| *l == line) {
+            Some(i) => self.entries.swap_remove(i).1,
+            None => 1,
+        }
+    }
+
+    /// The checkpoint payload in the `MshrFile::save` layout.
+    fn save(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.put_seq_len(self.entries.len());
+        for &(line, merged) in &self.entries {
+            e.put_u64(line);
+            e.put_u32(merged);
+        }
+        e.into_bytes()
+    }
+}
+
+/// The linear-scan slice MSHR table.
+#[derive(Default)]
+struct ScanFetches {
+    entries: Vec<(u64, Vec<ReqEnvelope>)>,
+}
+
+impl ScanFetches {
+    fn contains(&self, line: u64) -> bool {
+        self.entries.iter().any(|(l, _)| *l == line)
+    }
+
+    fn merge(&mut self, line: u64, env: ReqEnvelope) -> bool {
+        if let Some((_, waiters)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
+            waiters.push(env);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn begin(&mut self, line: u64) {
+        self.entries.push((line, Vec::new()));
+    }
+
+    fn take(&mut self, line: u64) -> Option<Vec<ReqEnvelope>> {
+        let i = self.entries.iter().position(|(l, _)| *l == line)?;
+        Some(self.entries.swap_remove(i).1)
+    }
+
+    fn waiting(&self) -> usize {
+        self.entries.iter().map(|(_, w)| w.len()).sum()
+    }
+
+    /// The checkpoint payload in the `PendingFetches::save` layout.
+    fn save(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.put_seq_len(self.entries.len());
+        for (line, waiters) in &self.entries {
+            e.put_u64(*line);
+            e.put_seq_len(waiters.len());
+            for w in waiters {
+                w.save(&mut e);
+            }
+        }
+        e.into_bytes()
+    }
+}
+
+fn save_mshrs(m: &MshrFile) -> Vec<u8> {
+    let mut e = Enc::new();
+    m.save(&mut e);
+    e.into_bytes()
+}
+
+fn save_fetches(p: &PendingFetches) -> Vec<u8> {
+    let mut e = Enc::new();
+    p.save(&mut e);
+    e.into_bytes()
+}
+
+/// A line drawn from `universe` distinct values spread by `stride`, so
+/// keys share low bits (strided traffic) as well as high ones.
+fn line(rng: &mut SmallRng, universe: u64, stride: u64) -> u64 {
+    rng.gen_range(0..universe).wrapping_mul(stride) ^ 0x5a5a
+}
+
+fn envelope(id: u64, line: u64) -> ReqEnvelope {
+    ReqEnvelope {
+        req: Request {
+            id: RequestId(id),
+            origin: ClusterId::new(ChipId((id % 4) as u8), (id % 32) as usize),
+            access: if id.is_multiple_of(3) {
+                MemAccess::write(line.wrapping_mul(128))
+            } else {
+                MemAccess::read(line.wrapping_mul(128))
+            },
+            home: ChipId((line % 4) as u8),
+        },
+        stage: if id.is_multiple_of(2) {
+            ReqStage::ToHomeSlice
+        } else {
+            ReqStage::ToLocalSlice
+        },
+    }
+}
+
+fn stride() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(1u64),
+        Just(64),
+        Just(1 << 20),
+        Just(1 << 40),
+        any::<u64>()
+    ]
+}
+
+const STEPS: usize = 3_000;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The indexed MSHR file and the linear-scan file agree on every
+    /// `merge` and `retire` result, `len`, and the ordered entries, through
+    /// snapshot/restore into a stale table.
+    #[test]
+    fn indexed_mshr_file_matches_the_linear_scan(
+        universe in 1u64..=700,
+        stride in stride(),
+        limit in 1usize..=300,
+        restore_every in 50usize..=1_000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut file = MshrFile::with_capacity(limit);
+        let mut oracle = ScanMshrs::default();
+        for step in 0..STEPS {
+            let l = line(&mut rng, universe, stride);
+            if rng.gen_bool(0.55) {
+                // Issue a read miss: merge, else allocate if a register is
+                // free (the cluster's calling pattern).
+                let merged = file.merge(l);
+                prop_assert_eq!(merged, oracle.merge(l), "merge {} at step {}", l, step);
+                if !merged && file.len() < limit {
+                    file.allocate(l);
+                    oracle.allocate(l);
+                }
+            } else {
+                // A fill: usually for an outstanding line, sometimes for one
+                // with no registered miss.
+                let l = if !oracle.entries.is_empty() && rng.gen_bool(0.8) {
+                    oracle.entries[rng.gen_range(0..oracle.entries.len())].0
+                } else {
+                    l
+                };
+                prop_assert_eq!(file.retire(l), oracle.retire(l), "retire {} at step {}", l, step);
+            }
+            prop_assert_eq!(file.len(), oracle.entries.len());
+            prop_assert_eq!(file.is_empty(), oracle.entries.is_empty());
+            let bytes = save_mshrs(&file);
+            prop_assert!(bytes == oracle.save(), "entries differ at step {}", step);
+            if step % restore_every == restore_every - 1 {
+                // Restore into a table that already holds other lines.
+                let mut restored = MshrFile::with_capacity(limit);
+                for i in 0..rng.gen_range(0..64u64) {
+                    restored.allocate(i * 7 + 1);
+                }
+                let mut d = Dec::new(&bytes);
+                restored.load_into(&mut d).expect("restore");
+                prop_assert!(d.finish().is_ok());
+                file = restored;
+            }
+        }
+    }
+
+    /// The indexed slice table and the linear-scan table agree on every
+    /// `contains`, `merge` and `take` result, `waiting`, and the ordered
+    /// entries, with drained lists recycled early or late, through
+    /// snapshot/restore into a stale table.
+    #[test]
+    fn indexed_pending_fetches_match_the_linear_scan(
+        universe in 1u64..=3_000,
+        stride in stride(),
+        restore_every in 50usize..=1_000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut table = PendingFetches::default();
+        let mut oracle = ScanFetches::default();
+        let mut held: Vec<Vec<ReqEnvelope>> = Vec::new();
+        let mut next_id = 0u64;
+        for step in 0..STEPS {
+            let l = line(&mut rng, universe, stride);
+            match rng.gen_range(0..10u32) {
+                // A slice miss: merge onto the fetch in flight, else begin
+                // one (the engine's calling pattern).
+                0..=5 => {
+                    prop_assert_eq!(table.contains(l), oracle.contains(l));
+                    let env = envelope(next_id, l);
+                    next_id += 1;
+                    let merged = table.merge(l, env);
+                    prop_assert_eq!(merged, oracle.merge(l, env), "merge {} at step {}", l, step);
+                    if !merged {
+                        table.begin(l);
+                        oracle.begin(l);
+                    }
+                }
+                // A fill: usually for a pending line.
+                _ => {
+                    let l = if !oracle.entries.is_empty() && rng.gen_bool(0.8) {
+                        oracle.entries[rng.gen_range(0..oracle.entries.len())].0
+                    } else {
+                        l
+                    };
+                    let got = table.take(l);
+                    prop_assert_eq!(&got, &oracle.take(l), "take {} at step {}", l, step);
+                    if let Some(waiters) = got {
+                        held.push(waiters);
+                    }
+                }
+            }
+            // Give drained lists back in a shuffled, delayed order.
+            while !held.is_empty() && rng.gen_bool(0.5) {
+                let i = rng.gen_range(0..held.len());
+                table.recycle(held.swap_remove(i));
+            }
+            prop_assert_eq!(table.is_empty(), oracle.entries.is_empty());
+            prop_assert_eq!(table.waiting(), oracle.waiting());
+            // Waiter lists make a full payload costly, so the ordered
+            // entries are compared every few steps (and at every restore).
+            let restore = step % restore_every == restore_every - 1;
+            if !(restore || step % 16 == 0 || step == STEPS - 1) {
+                continue;
+            }
+            let bytes = save_fetches(&table);
+            prop_assert!(bytes == oracle.save(), "entries differ at step {}", step);
+            if restore {
+                let mut restored = PendingFetches::default();
+                for i in 0..rng.gen_range(0..64u64) {
+                    restored.begin(i * 7 + 1);
+                    restored.merge(i * 7 + 1, envelope(i, i));
+                }
+                let mut d = Dec::new(&bytes);
+                restored.load_into(&mut d).expect("restore");
+                prop_assert!(d.finish().is_ok());
+                table = restored;
+            }
+        }
+    }
+}

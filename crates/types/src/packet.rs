@@ -126,6 +126,12 @@ impl ResponseOrigin {
         ResponseOrigin::RemoteMem,
     ];
 
+    /// This origin's position in [`ResponseOrigin::ALL`] (the variants are
+    /// declared in that order).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -229,5 +235,8 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             ResponseOrigin::ALL.iter().map(|o| o.label()).collect();
         assert_eq!(labels.len(), 4);
+        for (i, o) in ResponseOrigin::ALL.into_iter().enumerate() {
+            assert_eq!(o.index(), i, "{}", o.label());
+        }
     }
 }
