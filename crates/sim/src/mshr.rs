@@ -148,7 +148,7 @@ impl LineIndex {
 /// `swap_remove`'s reordering on retirement), plus a line index over them.
 /// The entry `Vec` is preallocated to the cluster's MSHR limit; the index
 /// grows lazily.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MshrFile {
     entries: Vec<(u64, u32)>,
     index: LineIndex,
