@@ -4,7 +4,6 @@
 //! ```text
 //! golden_sweep (--journal PATH | --resume PATH) [--out DIR]
 //!              [--stall-ms N] [--jobs N]
-//!              [--state-dir DIR] [--checkpoint-interval N]
 //! ```
 //!
 //! Runs the 8 golden cases (shared with `tests/golden.rs`) as isolated,
@@ -15,23 +14,11 @@
 //! execution and cannot change any result. After a kill, re-running with
 //! `--resume` on the same journal replays the finished cells byte-
 //! identically and executes only the rest, so the final output directory
-//! diffs clean against `tests/golden/`.
-//!
-//! With `--state-dir DIR`, every running cell additionally snapshots its
-//! full simulator state to `DIR` every `--checkpoint-interval` cycles
-//! (default 65536), so a SIGKILLed sweep resumes interrupted cells
-//! *mid-cycle* from their latest snapshot instead of from cycle 0 —
-//! still byte-identical to an uninterrupted run.
-//!
-//! `--ckpt-cut N` (requires `--state-dir`) is the deterministic crash
-//! drill: every cell is interrupted at cycle N and snapshotted, leaving
-//! exactly the on-disk state a SIGKILL between two periodic checkpoints
-//! would — nothing journaled, one snapshot per interrupted cell — and the
-//! process exits 3. A subsequent `--resume` run must continue every cell
-//! mid-cycle and reproduce the golden snapshots byte for byte.
+//! diffs clean against `tests/golden/`. A killed cell re-runs from cycle
+//! 0; each golden cell takes well under a second.
 
 use sac_bench::golden::{suite, Case};
-use sac_bench::{state, sweep, CellOutcome, Journal, JournalRecord, RecordOutcome, SweepOptions};
+use sac_bench::{sweep, CellOutcome, Journal, JournalRecord, RecordOutcome, SweepOptions};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -44,9 +31,6 @@ fn arg_value(name: &str) -> Option<String> {
 
 fn main() {
     let opts = SweepOptions::from_args();
-    if let Some((dir, _)) = opts.ckpt() {
-        std::fs::create_dir_all(dir).expect("create checkpoint state directory");
-    }
     let out_dir =
         PathBuf::from(arg_value("--out").unwrap_or_else(|| "results/golden_sweep".to_string()));
     let stall = std::time::Duration::from_millis(
@@ -79,33 +63,6 @@ fn main() {
         );
     }
 
-    if let Some(cut) = arg_value("--ckpt-cut").and_then(|v| v.parse::<u64>().ok()) {
-        let Some((dir, interval)) = opts.ckpt() else {
-            eprintln!("--ckpt-cut requires --state-dir DIR");
-            std::process::exit(2);
-        };
-        let mut interrupted = 0usize;
-        for c in suite() {
-            let snap = state::cell_snapshot_path(dir, c.name, c.config_hash());
-            match c.interrupt_at(&snap, interval, cut) {
-                Ok(true) => {
-                    eprintln!("  interrupted {} at cycle {cut}", c.name);
-                    interrupted += 1;
-                }
-                Ok(false) => eprintln!("  {} finished before cycle {cut}; no snapshot", c.name),
-                Err(e) => {
-                    eprintln!("  FAILED interrupting {}: {e}", c.name);
-                    std::process::exit(1);
-                }
-            }
-        }
-        eprintln!(
-            "crash drill: {interrupted} cell(s) snapshotted mid-cycle; resume with --resume {}",
-            journal.lock().expect("journal lock").path().display()
-        );
-        std::process::exit(3);
-    }
-
     let outcomes: Vec<(&'static str, CellOutcome<String>)> = sweep::map(suite(), |c: Case| {
         let hash = c.config_hash();
         let desc = c.config_desc();
@@ -130,16 +87,7 @@ fn main() {
         if !stall.is_zero() {
             std::thread::sleep(stall);
         }
-        let snapshot = opts
-            .ckpt()
-            .map(|(dir, interval)| (state::cell_snapshot_path(dir, c.name, hash), interval));
-        let out = sweep::run_cell(|_attempt| {
-            c.try_run_ckpt(snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)))
-        });
-        // Any terminal outcome supersedes the cell's snapshot.
-        if let Some((p, _)) = &snapshot {
-            let _ = std::fs::remove_file(p);
-        }
+        let out = sweep::run_cell(|_attempt| c.try_run());
         let outcome = match &out.result {
             Ok(json) => RecordOutcome::Completed {
                 stats_json: json.clone(),

@@ -3,10 +3,8 @@
 //! kill/resume job drives. One definition of the cases guarantees the
 //! journaled sweep reproduces exactly the snapshots the test checks.
 
-use mcgpu_sim::{SimBuilder, SimError};
 use mcgpu_trace::{generate, profiles, TraceParams};
 use mcgpu_types::{CoherenceKind, LlcOrgKind, MachineConfig};
-use std::path::Path;
 
 /// One golden case: a machine variant, a benchmark, and an organization.
 pub struct Case {
@@ -88,80 +86,10 @@ impl Case {
     /// # Errors
     /// [`crate::CellError`] on any simulation failure.
     pub fn try_run(&self) -> Result<String, crate::CellError> {
-        self.try_run_ckpt(None)
-    }
-
-    /// Like [`Case::try_run`], but with optional mid-cell checkpointing:
-    /// `snapshot` names the cell's snapshot file and the checkpoint
-    /// cadence in cycles. An existing valid snapshot resumes the run
-    /// mid-cycle; a missing, stale or corrupt one falls back to a full
-    /// run from cycle 0 (byte-identical either way).
-    ///
-    /// # Errors
-    /// [`crate::CellError`] on any simulation failure.
-    pub fn try_run_ckpt(&self, snapshot: Option<(&Path, u64)>) -> Result<String, crate::CellError> {
         let cfg = self.config();
         let profile = profiles::by_name(self.bench).expect("known benchmark");
         let wl = generate(&cfg, &profile, &Self::params());
-        let Some((path, interval)) = snapshot else {
-            return Ok(crate::try_run_one(&cfg, &wl, self.org)?.to_canonical_json());
-        };
-        let build = || {
-            SimBuilder::new(cfg.clone())
-                .organization(self.org)
-                .checkpoint_to(path, interval)
-                .build()
-        };
-        let mut sim = build()?;
-        if path.exists() {
-            match sim.restore_from_file(path, &wl) {
-                Ok(()) => eprintln!(
-                    "  resumed {} from checkpoint at cycle {}",
-                    self.name,
-                    sim.cycle()
-                ),
-                Err(e) => {
-                    eprintln!(
-                        "  discarding unusable checkpoint for {} ({e}); running from cycle 0",
-                        self.name
-                    );
-                    sim = build()?;
-                }
-            }
-        }
-        Ok(sim.run(&wl)?.to_canonical_json())
-    }
-
-    /// Crash-drill helper: run the case only to cycle `cut` and snapshot
-    /// the interrupted simulator to `path` — exactly the on-disk state a
-    /// SIGKILL between two periodic checkpoints leaves behind. Returns
-    /// `true` if the cut interrupted the run (and the snapshot exists),
-    /// `false` if the case finished before reaching it.
-    ///
-    /// # Errors
-    /// [`crate::CellError`] on any simulation or snapshot-write failure.
-    pub fn interrupt_at(
-        &self,
-        path: &Path,
-        interval: u64,
-        cut: u64,
-    ) -> Result<bool, crate::CellError> {
-        let cfg = self.config();
-        let profile = profiles::by_name(self.bench).expect("known benchmark");
-        let wl = generate(&cfg, &profile, &Self::params());
-        let mut sim = SimBuilder::new(cfg.clone())
-            .organization(self.org)
-            .checkpoint_to(path, interval)
-            .max_cycles(cut)
-            .build()?;
-        match sim.run(&wl) {
-            Err(SimError::CycleLimit { .. }) => {
-                sim.write_checkpoint(path, &wl)?;
-                Ok(true)
-            }
-            Ok(_) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
+        Ok(crate::try_run_one(&cfg, &wl, self.org)?.to_canonical_json())
     }
 
     /// Journal key for this case (see [`crate::cell_config_hash`]).

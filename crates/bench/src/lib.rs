@@ -26,7 +26,7 @@
 use mcgpu_sim::{ObsReport, RunStats, SimBuilder};
 use mcgpu_trace::{generate, profiles, BenchmarkProfile, TraceParams, Workload};
 use mcgpu_types::{EngineMode, LlcOrgKind, MachineConfig, ObsConfig};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 pub mod crossval;
@@ -36,7 +36,6 @@ pub mod figdata;
 pub mod golden;
 pub mod journal;
 pub mod resilience;
-pub mod state;
 pub mod sweep;
 
 pub use journal::{cell_config_desc, cell_config_hash, Journal, JournalRecord, RecordOutcome};
@@ -48,14 +47,18 @@ pub use sweep::{CellError, CellOutcome};
 ///
 /// `MCGPU_WATCHDOG_CYCLES` overrides the forward-progress watchdog window
 /// (validated by `MachineConfig::validate()` at build time; `u64::MAX`
-/// disables the watchdog).
+/// disables the watchdog). A value that is not an unsigned integer exits
+/// the process with status 2 rather than silently keeping the default.
 pub fn experiment_config() -> MachineConfig {
     let mut cfg = MachineConfig::experiment_baseline();
-    if let Some(n) = std::env::var("MCGPU_WATCHDOG_CYCLES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        cfg.watchdog_cycles = n;
+    if let Ok(v) = std::env::var("MCGPU_WATCHDOG_CYCLES") {
+        match v.parse::<u64>() {
+            Ok(n) => cfg.watchdog_cycles = n,
+            Err(_) => {
+                eprintln!("MCGPU_WATCHDOG_CYCLES needs an unsigned integer, got `{v}`");
+                std::process::exit(2);
+            }
+        }
     }
     cfg
 }
@@ -90,10 +93,32 @@ pub fn parse_mode_or_exit(token: &str) -> EngineMode {
     })
 }
 
-/// Default mid-cell checkpoint cadence in simulated cycles; the engine
-/// quantizes writes to its coarse checkpoint grid, so this is also the
-/// finest cadence that costs nothing on the hot path.
-pub const DEFAULT_CKPT_INTERVAL: u64 = 65_536;
+/// Flags of the removed mid-cell checkpointing. Every figure cell runs in
+/// a few seconds, so the cell-granular journal bounds lost work; these are
+/// rejected rather than ignored so a script that passes one fails loudly.
+const REMOVED_FLAGS: [&str; 6] = [
+    "--state-dir",
+    "--checkpoint-interval",
+    "--checkpoint",
+    "--restore",
+    "--gc-state",
+    "--ckpt-cut",
+];
+
+/// Exit with status 2 if the command line carries a removed checkpoint
+/// flag (bare or as `--flag=VALUE`), pointing at `--journal`/`--resume`.
+fn reject_removed_flags() {
+    for a in std::env::args().skip(1) {
+        let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
+        if REMOVED_FLAGS.contains(&name) {
+            eprintln!(
+                "{name} was removed with mid-cell checkpointing; use --journal PATH to \
+                 record finished cells and --resume PATH to continue an interrupted sweep"
+            );
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Journal/resume options for a sweep, normally parsed from the command
 /// line with [`SweepOptions::from_args`].
@@ -104,17 +129,6 @@ pub struct SweepOptions {
     /// Load this journal, replay its completed cells, re-run the rest, and
     /// keep recording to the same path. Takes precedence over `journal`.
     pub resume: Option<PathBuf>,
-    /// Directory for mid-cell engine checkpoints. When set, every cell
-    /// periodically snapshots its full simulator state here and a resumed
-    /// (or crashed-and-restarted) sweep continues interrupted cells from
-    /// their latest valid snapshot instead of from cycle 0; a missing,
-    /// stale or corrupt snapshot silently falls back to a full re-run.
-    /// `None` (the default) disables checkpointing entirely — no file is
-    /// ever written and every output stays byte-identical.
-    pub state_dir: Option<PathBuf>,
-    /// Checkpoint cadence in cycles; `0` means [`DEFAULT_CKPT_INTERVAL`].
-    /// Ignored unless `state_dir` is set.
-    pub ckpt_interval: u64,
     /// How cells are evaluated: cycle-stepped simulation (the default) or
     /// the analytic fast estimator (see [`fastmode`]). Journal records are
     /// stamped with the mode, and a `--resume` in a different mode is
@@ -132,10 +146,12 @@ impl SweepOptions {
         SweepOptions::default()
     }
 
-    /// Parse `--journal PATH` / `--resume PATH` / `--state-dir PATH` /
-    /// `--checkpoint-interval N` (or `--flag=VALUE`) from the process
-    /// arguments.
+    /// Parse `--journal PATH` / `--resume PATH` / `--mode MODE` (or
+    /// `--flag=VALUE`) and `--skip-idle` from the process arguments.
+    /// Exits with status 2 on an unknown mode or on a flag of the removed
+    /// mid-cell checkpointing (`--state-dir`, `--checkpoint`, ...).
     pub fn from_args() -> SweepOptions {
+        reject_removed_flags();
         fn value(name: &str) -> Option<String> {
             let args: Vec<String> = std::env::args().collect();
             for (i, a) in args.iter().enumerate() {
@@ -151,28 +167,9 @@ impl SweepOptions {
         SweepOptions {
             journal: value("--journal").map(PathBuf::from),
             resume: value("--resume").map(PathBuf::from),
-            state_dir: value("--state-dir").map(PathBuf::from),
-            ckpt_interval: value("--checkpoint-interval")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             mode: value("--mode").map_or(EngineMode::Cycle, |v| parse_mode_or_exit(&v)),
             skip_idle: std::env::args().any(|a| a == "--skip-idle"),
         }
-    }
-
-    /// The effective (state directory, checkpoint interval) pair, or
-    /// `None` when mid-cell checkpointing is off.
-    pub fn ckpt(&self) -> Option<(&Path, u64)> {
-        self.state_dir.as_deref().map(|d| {
-            (
-                d,
-                if self.ckpt_interval == 0 {
-                    DEFAULT_CKPT_INTERVAL
-                } else {
-                    self.ckpt_interval
-                },
-            )
-        })
     }
 
     /// Adapt for binaries that run *several* sweeps in sequence: a fresh
@@ -347,7 +344,7 @@ impl BenchRows {
 ///
 /// # Errors
 /// [`CellError::Sim`] for configuration rejections and runtime aborts
-/// (cycle limit, deadlock, invariant violation, checkpoint failure).
+/// (cycle limit, deadlock, invariant violation).
 pub fn try_run_one(
     cfg: &MachineConfig,
     workload: &Workload,
@@ -430,61 +427,21 @@ pub fn run_one_observed(
 /// run clears a spurious deadlock trip while a true deadlock still fails
 /// every attempt identically. No wall-clock scheduling is involved, so
 /// results remain a pure function of the inputs.
-///
-/// With `ckpt` set, the attempt periodically snapshots its full engine
-/// state to the given path and — if a snapshot from an identically
-/// configured interrupted attempt is already there — resumes from it
-/// mid-kernel at the snapshot's exact cycle. Any restore failure
-/// (missing, torn, corrupt or differently configured snapshot, including
-/// one written under a different attempt's escalated watchdog) falls
-/// back to a full run from cycle 0; restore-then-run is byte-identical
-/// to the uninterrupted run, so the fallback is a cost, never a
-/// correctness, decision.
 fn run_cell_attempt(
     cfg: &MachineConfig,
     workload: &Workload,
     org: LlcOrgKind,
     attempt: u32,
-    ckpt: Option<(&Path, u64)>,
     mode: EngineMode,
     skip_idle: bool,
 ) -> Result<RunStats, CellError> {
     if mode == EngineMode::Fast {
-        // No cycles: nothing to watchdog, checkpoint, or escalate.
+        // No cycles: nothing to watchdog or escalate.
         return Ok(fastmode::run_fast(cfg, workload, org));
     }
     let mut c = cfg.clone();
     c.watchdog_cycles = sweep::escalate_budget(c.watchdog_cycles, attempt);
-    let Some((path, interval)) = ckpt else {
-        return try_run_cell(&c, workload, org, mode, skip_idle);
-    };
-    let build = || {
-        SimBuilder::new(c.clone())
-            .organization(org)
-            .skip_idle(skip_idle)
-            .checkpoint_to(path, interval)
-            .build()
-    };
-    let mut sim = build()?;
-    if path.exists() {
-        match sim.restore_from_file(path, workload) {
-            Ok(()) => eprintln!(
-                "  resumed {}/{org} from checkpoint at cycle {}",
-                workload.name,
-                sim.cycle()
-            ),
-            Err(e) => {
-                eprintln!(
-                    "  discarding unusable checkpoint for {}/{org} ({e}); running from cycle 0",
-                    workload.name
-                );
-                // A failed restore may have partially overwritten the
-                // simulator; rebuild rather than trust it.
-                sim = build()?;
-            }
-        }
-    }
-    Ok(sim.run(workload)?)
+    try_run_cell(&c, workload, org, mode, skip_idle)
 }
 
 /// Run one benchmark under the given organizations on `cfg`, fanning the
@@ -564,11 +521,6 @@ pub fn run_profiles(
             );
         }
     }
-    let ckpt = opts.ckpt();
-    if let Some((dir, _)) = ckpt {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create state dir {}: {e}", dir.display()));
-    }
     let workloads: Vec<Arc<Workload>> =
         sweep::map(profs.to_vec(), |p| Arc::new(generate(cfg, &p, params)));
     let pairs: Vec<(usize, LlcOrgKind)> = (0..profs.len())
@@ -615,26 +567,9 @@ pub fn run_profiles(
                 }
             }
         }
-        let snapshot =
-            ckpt.map(|(dir, interval)| (state::cell_snapshot_path(dir, &name, hash), interval));
         let out = sweep::run_cell_from(prior_attempts, |attempt| {
-            run_cell_attempt(
-                cfg,
-                &workloads[pi],
-                org,
-                attempt,
-                snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)),
-                opts.mode,
-                opts.skip_idle,
-            )
+            run_cell_attempt(cfg, &workloads[pi], org, attempt, opts.mode, opts.skip_idle)
         });
-        // A terminal outcome supersedes the cell's snapshot: a completed
-        // cell replays from the journal and a quarantined one re-runs
-        // under a different escalated budget, so the snapshot can never
-        // be consumed again (`state::gc_state` reaps any we miss here).
-        if let Some((p, _)) = &snapshot {
-            let _ = std::fs::remove_file(p);
-        }
         if let Some(j) = &journal {
             let outcome = match &out.result {
                 Ok(stats) => RecordOutcome::Completed {

@@ -112,8 +112,7 @@ impl CellError {
     /// slow-but-live run clears them with a bigger budget, and a true
     /// deadlock fails them again deterministically. Panics, configuration
     /// rejections and invariant violations are bugs; retrying the same
-    /// deterministic run cannot change the outcome. Checkpoint failures
-    /// are environment errors, not cell outcomes, and are not retried.
+    /// deterministic run cannot change the outcome.
     pub fn retryable(&self) -> bool {
         matches!(
             self,
@@ -129,7 +128,6 @@ impl CellError {
             CellError::Sim(SimError::Deadlock { .. }) => "deadlock",
             CellError::Sim(SimError::InvariantViolation { .. }) => "invariant-violation",
             CellError::Sim(SimError::Config(_)) => "config",
-            CellError::Sim(SimError::Checkpoint { .. }) => "checkpoint",
         }
     }
 }

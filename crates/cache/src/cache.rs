@@ -448,89 +448,6 @@ impl SetAssocCache {
         }
         (local, remote)
     }
-
-    /// Serialize the full dynamic state (every way's tag/valid/dirty/home/
-    /// sector bits/LRU stamp, the LRU clock, partition and stats) into a
-    /// checkpoint payload. Geometry is *not* serialized — the restoring
-    /// side rebuilds the cache from the same [`CacheConfig`] and
-    /// [`SetAssocCache::load_into`] checks the shapes agree.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_usize(self.num_sets);
-        e.put_usize(self.cfg.assoc);
-        e.put_u64(self.clock);
-        match self.local_ways {
-            None => e.put_bool(false),
-            Some(l) => {
-                e.put_bool(true);
-                e.put_usize(l);
-            }
-        }
-        let s = &self.stats;
-        for v in [
-            s.accesses,
-            s.hits,
-            s.misses,
-            s.sector_misses,
-            s.fills,
-            s.evictions,
-            s.fill_rejections,
-        ] {
-            e.put_u64(v);
-        }
-        for way in &self.ways {
-            e.put_u64(way.tag);
-            e.put_bool(way.valid);
-            e.put_bool(way.dirty);
-            e.put_bool(matches!(way.home, DataHome::Remote));
-            e.put_u8(way.sectors);
-            e.put_u64(way.stamp);
-        }
-    }
-
-    /// Overwrite this cache's dynamic state from a payload saved by
-    /// [`SetAssocCache::save`]. The cache must have been constructed with
-    /// the same geometry as the saved one.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input or a geometry mismatch.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let sets = d.get_usize()?;
-        let assoc = d.get_usize()?;
-        if sets != self.num_sets || assoc != self.cfg.assoc {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "cache geometry mismatch: snapshot {sets}x{assoc}, live {}x{}",
-                self.num_sets, self.cfg.assoc
-            )));
-        }
-        self.clock = d.get_u64()?;
-        self.local_ways = if d.get_bool()? {
-            Some(d.get_usize()?)
-        } else {
-            None
-        };
-        self.stats = CacheStats {
-            accesses: d.get_u64()?,
-            hits: d.get_u64()?,
-            misses: d.get_u64()?,
-            sector_misses: d.get_u64()?,
-            fills: d.get_u64()?,
-            evictions: d.get_u64()?,
-            fill_rejections: d.get_u64()?,
-        };
-        for way in &mut self.ways {
-            way.tag = d.get_u64()?;
-            way.valid = d.get_bool()?;
-            way.dirty = d.get_bool()?;
-            way.home = if d.get_bool()? {
-                DataHome::Remote
-            } else {
-                DataHome::Local
-            };
-            way.sectors = d.get_u8()?;
-            way.stamp = d.get_u64()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -526,197 +526,6 @@ impl SacController {
     pub fn history(&self) -> &[KernelRecord] {
         &self.history
     }
-
-    /// Serialize the full controller state (config, EAB model, state
-    /// machine, counters, decision history, progress monitor) into a
-    /// checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_u64(self.config.profile_window);
-        e.put_f64(self.config.theta);
-        e.put_u64(self.config.min_samples);
-        e.put_u64(self.config.monitor_window);
-        e.put_f64(self.config.divergence_threshold);
-        e.put_u32(self.config.max_redecisions);
-        let a = self.model.arch();
-        e.put_f64(a.b_intra);
-        e.put_f64(a.b_inter);
-        e.put_f64(a.b_llc);
-        e.put_f64(a.b_mem);
-        save_state(e, self.state);
-        self.collector.save(e);
-        e.put_u64(self.kernel_start);
-        e.put_u64(self.profile_anchor);
-        e.put_bool(self.warmup_reset_done);
-        e.put_seq_len(self.history.len());
-        for r in &self.history {
-            e.put_u64(r.start_cycle);
-            e.put_u64(r.decision_cycle);
-            save_inputs(e, &r.inputs);
-            e.put_f64(r.eab_memory_side);
-            e.put_f64(r.eab_sm_side);
-            save_mode(e, r.mode);
-            e.put_u64(r.requests_observed);
-            e.put_bool(r.fallback);
-        }
-        match self.monitor_start {
-            None => e.put_bool(false),
-            Some((cycle, work)) => {
-                e.put_bool(true);
-                e.put_u64(cycle);
-                e.put_u64(work);
-            }
-        }
-        match self.baseline_rate {
-            None => e.put_bool(false),
-            Some(rate) => {
-                e.put_bool(true);
-                e.put_f64(rate);
-            }
-        }
-        e.put_u32(self.slow_windows);
-        e.put_u32(self.redecisions);
-        e.put_bool(self.reprofile_after_drain);
-    }
-
-    /// Deserialize a controller saved by [`SacController::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let config = SacConfig {
-            profile_window: d.get_u64()?,
-            theta: d.get_f64()?,
-            min_samples: d.get_u64()?,
-            monitor_window: d.get_u64()?,
-            divergence_threshold: d.get_f64()?,
-            max_redecisions: d.get_u32()?,
-        };
-        let model = EabModel::new(ArchBandwidth {
-            b_intra: d.get_f64()?,
-            b_inter: d.get_f64()?,
-            b_llc: d.get_f64()?,
-            b_mem: d.get_f64()?,
-        });
-        let state = load_state(d)?;
-        let collector = ProfileCollector::load(d)?;
-        let kernel_start = d.get_u64()?;
-        let profile_anchor = d.get_u64()?;
-        let warmup_reset_done = d.get_bool()?;
-        let n = d.get_seq_len()?;
-        let mut history = Vec::with_capacity(n);
-        for _ in 0..n {
-            history.push(KernelRecord {
-                start_cycle: d.get_u64()?,
-                decision_cycle: d.get_u64()?,
-                inputs: load_inputs(d)?,
-                eab_memory_side: d.get_f64()?,
-                eab_sm_side: d.get_f64()?,
-                mode: load_mode(d)?,
-                requests_observed: d.get_u64()?,
-                fallback: d.get_bool()?,
-            });
-        }
-        let monitor_start = if d.get_bool()? {
-            Some((d.get_u64()?, d.get_u64()?))
-        } else {
-            None
-        };
-        let baseline_rate = if d.get_bool()? {
-            Some(d.get_f64()?)
-        } else {
-            None
-        };
-        Ok(SacController {
-            config,
-            model,
-            state,
-            collector,
-            kernel_start,
-            profile_anchor,
-            warmup_reset_done,
-            history,
-            monitor_start,
-            baseline_rate,
-            slow_windows: d.get_u32()?,
-            redecisions: d.get_u32()?,
-            reprofile_after_drain: d.get_bool()?,
-        })
-    }
-}
-
-/// Encode an [`LlcMode`] as a one-byte checkpoint tag.
-pub fn save_mode(e: &mut mcgpu_types::Enc, mode: LlcMode) {
-    e.put_u8(match mode {
-        LlcMode::MemorySide => 0,
-        LlcMode::SmSide => 1,
-    });
-}
-
-/// Decode an [`LlcMode`] saved by [`save_mode`].
-pub fn load_mode(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<LlcMode> {
-    match d.get_u8()? {
-        0 => Ok(LlcMode::MemorySide),
-        1 => Ok(LlcMode::SmSide),
-        t => Err(mcgpu_types::CkptError::Decode(format!(
-            "invalid LlcMode tag {t}"
-        ))),
-    }
-}
-
-fn save_state(e: &mut mcgpu_types::Enc, state: SacState) {
-    match state {
-        SacState::Idle => e.put_u8(0),
-        SacState::Profiling { until } => {
-            e.put_u8(1);
-            e.put_u64(until);
-        }
-        SacState::Draining { to } => {
-            e.put_u8(2);
-            save_mode(e, to);
-        }
-        SacState::Flushing => e.put_u8(3),
-        SacState::Running { mode } => {
-            e.put_u8(4);
-            save_mode(e, mode);
-        }
-    }
-}
-
-fn load_state(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<SacState> {
-    Ok(match d.get_u8()? {
-        0 => SacState::Idle,
-        1 => SacState::Profiling {
-            until: d.get_u64()?,
-        },
-        2 => SacState::Draining { to: load_mode(d)? },
-        3 => SacState::Flushing,
-        4 => SacState::Running {
-            mode: load_mode(d)?,
-        },
-        t => {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "invalid SacState tag {t}"
-            )));
-        }
-    })
-}
-
-fn save_inputs(e: &mut mcgpu_types::Enc, i: &EabInputs) {
-    e.put_f64(i.r_local);
-    e.put_f64(i.llc_hit_memory_side);
-    e.put_f64(i.llc_hit_sm_side);
-    e.put_f64(i.lsu_memory_side);
-    e.put_f64(i.lsu_sm_side);
-}
-
-fn load_inputs(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<EabInputs> {
-    Ok(EabInputs {
-        r_local: d.get_f64()?,
-        llc_hit_memory_side: d.get_f64()?,
-        llc_hit_sm_side: d.get_f64()?,
-        lsu_memory_side: d.get_f64()?,
-        lsu_sm_side: d.get_f64()?,
-    })
 }
 
 #[cfg(test)]

@@ -186,55 +186,6 @@ impl ProfileCollector {
         self.memside_accesses = 0;
         self.memside_hits = 0;
     }
-
-    /// Serialize the full collector state (CRDs included) into a
-    /// checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.crds.len());
-        for crd in &self.crds {
-            crd.save(e);
-        }
-        for counters in [&self.mem_side_slices, &self.sm_side_slices] {
-            e.put_seq_len(counters.len());
-            for &c in counters {
-                e.put_u64(c);
-            }
-        }
-        e.put_u64(self.total_requests);
-        e.put_u64(self.local_requests);
-        e.put_u64(self.memside_accesses);
-        e.put_u64(self.memside_hits);
-    }
-
-    /// Deserialize a collector saved by [`ProfileCollector::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let n = d.get_seq_len()?;
-        let mut crds = Vec::with_capacity(n);
-        for _ in 0..n {
-            crds.push(Crd::load(d)?);
-        }
-        let mut slice_counters = [Vec::new(), Vec::new()];
-        for counters in &mut slice_counters {
-            let n = d.get_seq_len()?;
-            counters.reserve(n);
-            for _ in 0..n {
-                counters.push(d.get_u64()?);
-            }
-        }
-        let [mem_side_slices, sm_side_slices] = slice_counters;
-        Ok(ProfileCollector {
-            crds,
-            mem_side_slices,
-            sm_side_slices,
-            total_requests: d.get_u64()?,
-            local_requests: d.get_u64()?,
-            memside_accesses: d.get_u64()?,
-            memside_hits: d.get_u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

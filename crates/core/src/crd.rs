@@ -247,61 +247,6 @@ impl Crd {
         let bits_per_block = 30 + self.chips * self.sectors as usize;
         self.sets.len() * self.ways * bits_per_block / 8
     }
-
-    /// Serialize the full directory state into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_usize(self.sets.len());
-        e.put_usize(self.ways);
-        e.put_usize(self.chips);
-        e.put_u32(self.sectors);
-        e.put_usize(self.llc_sets);
-        e.put_u64(self.clock);
-        e.put_u64(self.hits);
-        e.put_u64(self.requests);
-        for block in self.sets.iter().flat_map(|s| s.iter()) {
-            e.put_u64(block.tag);
-            e.put_bool(block.valid);
-            e.put_u128(block.presence);
-            e.put_u64(block.stamp);
-        }
-    }
-
-    /// Deserialize a directory saved by [`Crd::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let sets = d.get_usize()?;
-        let ways = d.get_usize()?;
-        let chips = d.get_usize()?;
-        let sectors = d.get_u32()?;
-        let llc_sets = d.get_usize()?;
-        if sets == 0 || ways == 0 || chips == 0 || sectors == 0 || llc_sets == 0 {
-            return Err(mcgpu_types::CkptError::Decode(
-                "CRD dimensions must be non-zero".into(),
-            ));
-        }
-        let clock = d.get_u64()?;
-        let hits = d.get_u64()?;
-        let requests = d.get_u64()?;
-        let mut crd = Crd {
-            sets: vec![vec![CrdBlock::EMPTY; ways]; sets],
-            ways,
-            chips,
-            sectors,
-            llc_sets,
-            clock,
-            hits,
-            requests,
-        };
-        for block in crd.sets.iter_mut().flat_map(|s| s.iter_mut()) {
-            block.tag = d.get_u64()?;
-            block.valid = d.get_bool()?;
-            block.presence = d.get_u128()?;
-            block.stamp = d.get_u64()?;
-        }
-        Ok(crd)
-    }
 }
 
 #[cfg(test)]
@@ -438,26 +383,5 @@ mod tests {
         }
         let rate = sampled as f64 / n as f64;
         assert!((rate - 1.0 / 16.0).abs() < 0.01, "sampling rate {rate}");
-    }
-
-    #[test]
-    fn save_load_round_trips_wide_presence() {
-        let mut crd = Crd::for_chips(16, 64, true);
-        let l = sampled_line(&crd);
-        for chip in [0u8, 7, 15] {
-            crd.observe(l, Some(SectorId(2)), ChipId(chip));
-        }
-        let mut e = mcgpu_types::Enc::new();
-        crd.save(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = mcgpu_types::Dec::new(&bytes);
-        let mut restored = Crd::load(&mut d).unwrap();
-        assert_eq!(restored.chips(), 16);
-        assert_eq!(restored.requests(), crd.requests());
-        // The restored directory predicts identically.
-        assert_eq!(
-            restored.observe(l, Some(SectorId(2)), ChipId(15)),
-            Some(true)
-        );
     }
 }

@@ -254,74 +254,6 @@ impl MemoryPartition {
     pub fn accepted_bytes(&self) -> u64 {
         self.accepted_bytes
     }
-
-    /// Serialize the full partition state (every channel pipe with queued
-    /// and in-flight requests, liveness, counters) into a checkpoint
-    /// payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.channels.len());
-        let put_dreq = |e: &mut mcgpu_types::Enc, dreq: &DramRequest| {
-            e.put_request(&dreq.request);
-            e.put_bool(dreq.from_local_slice);
-            match dreq.slice {
-                None => e.put_bool(false),
-                Some(s) => {
-                    e.put_bool(true);
-                    e.put_u16(s);
-                }
-            }
-        };
-        for (ch, alive) in self.channels.iter().zip(&self.channel_alive) {
-            ch.save_with(e, put_dreq);
-            e.put_bool(*alive);
-        }
-        e.put_f64(self.base_channel_gbs);
-        e.put_u64(self.line_size);
-        e.put_u64(self.served_reads);
-        e.put_u64(self.served_writes);
-        e.put_u64(self.accepted_bytes);
-    }
-
-    /// Overwrite this partition's state from a payload saved by
-    /// [`MemoryPartition::save`]. The partition must have been constructed
-    /// with the same channel count.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input or a channel-count
-    /// mismatch.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let n = d.get_seq_len()?;
-        if n != self.channels.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "DRAM channel count mismatch: snapshot {n}, live {}",
-                self.channels.len()
-            )));
-        }
-        let get_dreq = |d: &mut mcgpu_types::Dec<'_>| -> mcgpu_types::CkptResult<DramRequest> {
-            let request = d.get_request()?;
-            let from_local_slice = d.get_bool()?;
-            let slice = if d.get_bool()? {
-                Some(d.get_u16()?)
-            } else {
-                None
-            };
-            Ok(DramRequest {
-                request,
-                from_local_slice,
-                slice,
-            })
-        };
-        for i in 0..n {
-            self.channels[i] = Pipe::load_with(d, get_dreq)?;
-            self.channel_alive[i] = d.get_bool()?;
-        }
-        self.base_channel_gbs = d.get_f64()?;
-        self.line_size = d.get_u64()?;
-        self.served_reads = d.get_u64()?;
-        self.served_writes = d.get_u64()?;
-        self.accepted_bytes = d.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -121,44 +121,6 @@ impl<T> Crossbar<T> {
     pub fn drain(&mut self) -> Vec<T> {
         self.outputs.iter_mut().flat_map(|o| o.drain()).collect()
     }
-
-    /// Serialize the full crossbar state into a checkpoint payload,
-    /// encoding each queued packet with `f`.
-    pub fn save_with(
-        &self,
-        e: &mut mcgpu_types::Enc,
-        mut f: impl FnMut(&mut mcgpu_types::Enc, &T),
-    ) {
-        e.put_seq_len(self.outputs.len());
-        for out in &self.outputs {
-            out.save_with(e, &mut f);
-        }
-        self.bisection.save(e);
-        e.put_u64(self.injected_bytes);
-        e.put_u64(self.rejected);
-    }
-
-    /// Deserialize a crossbar saved by [`Crossbar::save_with`], decoding
-    /// each packet with `f`.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load_with(
-        d: &mut mcgpu_types::Dec<'_>,
-        mut f: impl FnMut(&mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<T>,
-    ) -> mcgpu_types::CkptResult<Self> {
-        let ports = d.get_seq_len()?;
-        let mut outputs = Vec::with_capacity(ports);
-        for _ in 0..ports {
-            outputs.push(Pipe::load_with(d, &mut f)?);
-        }
-        Ok(Crossbar {
-            outputs,
-            bisection: BandwidthBudget::load(d)?,
-            injected_bytes: d.get_u64()?,
-            rejected: d.get_u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

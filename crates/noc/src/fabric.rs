@@ -63,13 +63,6 @@ impl<T> Transit<T> {
         self.by_slot.iter().flatten().chain(&self.unrouted)
     }
 
-    /// Every waiting packet in arrival order, without removing it.
-    fn in_arrival_order(&self) -> Vec<&Parked<T>> {
-        let mut all: Vec<&Parked<T>> = self.iter().collect();
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        all
-    }
-
     /// Remove every waiting packet and return them in arrival order.
     fn take_in_arrival_order(&mut self) -> Vec<Parked<T>> {
         let mut all = std::mem::take(&mut self.unrouted);
@@ -430,109 +423,6 @@ impl<T> FabricNetwork<T> {
     /// Bytes injected so far by `chip` (observability tap).
     pub fn bytes_sent_from(&self, chip: ChipId) -> u64 {
         self.sent_from[chip.index()]
-    }
-
-    /// Serialize the full fabric state (link pipes with queued and
-    /// in-flight packets, link liveness, transit and arrival buffers,
-    /// counters) into a checkpoint payload, encoding each payload with
-    /// `f`. Each chip's transit packets are written as one sequence in
-    /// arrival order; their routes are not saved, because they follow
-    /// from the link liveness. The topology is not serialized — the
-    /// restoring side rebuilds from the same [`MachineConfig`] (the
-    /// checkpoint config fingerprint guarantees it matches).
-    pub fn save_with(
-        &self,
-        e: &mut mcgpu_types::Enc,
-        mut f: impl FnMut(&mut mcgpu_types::Enc, &T),
-    ) {
-        let mut put_pkt = |e: &mut mcgpu_types::Enc, pkt: &FabricPacket<T>| {
-            e.put_u8(pkt.dest.0);
-            e.put_u64(pkt.bytes);
-            f(e, &pkt.payload);
-        };
-        e.put_seq_len(self.chips);
-        for chip in 0..self.chips {
-            for slot in 0..self.links[chip].len() {
-                self.links[chip][slot].save_with(e, &mut put_pkt);
-                e.put_bool(self.alive[chip][slot]);
-            }
-            let waiting = self.transit[chip].in_arrival_order();
-            e.put_seq_len(waiting.len());
-            for (_, pkt) in waiting {
-                put_pkt(e, pkt);
-            }
-            e.put_seq_len(self.arrived[chip].len());
-            for pkt in &self.arrived[chip] {
-                put_pkt(e, pkt);
-            }
-            e.put_u64(self.sent_from[chip]);
-        }
-        e.put_u64(self.delivered);
-        e.put_u64(self.bytes_sent);
-    }
-
-    /// Overwrite this fabric's dynamic state from a payload saved by
-    /// [`FabricNetwork::save_with`], decoding each payload with `f`. The
-    /// fabric must have been constructed for the same machine (the slot
-    /// count per chip is structural and is not re-validated here beyond
-    /// the chip count). Transit packets are routed only after every chip's
-    /// link liveness has been restored.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input or a chip-count mismatch.
-    pub fn load_into(
-        &mut self,
-        d: &mut mcgpu_types::Dec<'_>,
-        mut f: impl FnMut(&mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<T>,
-    ) -> mcgpu_types::CkptResult<()> {
-        let chips = d.get_seq_len()?;
-        if chips != self.chips {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "fabric chip count mismatch: snapshot {chips}, live {}",
-                self.chips
-            )));
-        }
-        let mut get_pkt =
-            |d: &mut mcgpu_types::Dec<'_>| -> mcgpu_types::CkptResult<FabricPacket<T>> {
-                let dest = ChipId(d.get_u8()?);
-                let bytes = d.get_u64()?;
-                let payload = f(d)?;
-                Ok(FabricPacket {
-                    dest,
-                    bytes,
-                    payload,
-                })
-            };
-        let mut waiting = Vec::with_capacity(chips);
-        for chip in 0..chips {
-            for slot in 0..self.links[chip].len() {
-                self.links[chip][slot] = Pipe::load_with(d, &mut get_pkt)?;
-                self.alive[chip][slot] = d.get_bool()?;
-            }
-            let n = d.get_seq_len()?;
-            let mut parked = Vec::with_capacity(n);
-            for _ in 0..n {
-                parked.push(get_pkt(d)?);
-            }
-            waiting.push(parked);
-            let n = d.get_seq_len()?;
-            self.arrived[chip].clear();
-            for _ in 0..n {
-                let pkt = get_pkt(d)?;
-                self.arrived[chip].push(pkt);
-            }
-            self.sent_from[chip] = d.get_u64()?;
-        }
-        self.delivered = d.get_u64()?;
-        self.bytes_sent = d.get_u64()?;
-        self.next_seq = 0;
-        for (chip, parked) in waiting.into_iter().enumerate() {
-            self.transit[chip] = Transit::new(self.links[chip].len());
-            for pkt in parked {
-                self.park(chip, pkt);
-            }
-        }
-        Ok(())
     }
 }
 

@@ -7,7 +7,7 @@
 //! ship: [`Ring`] (bit-exact reproduction of the original hard-wired
 //! 4-chip ring, Table 3), [`FullyConnected`], and [`Mesh2D`]. The
 //! structural facts (who neighbors whom, canonical link lists) come from
-//! [`MachineConfig`] so every layer — fault validation, checkpoint link
+//! [`MachineConfig`] so every layer — fault validation, the engine's link
 //! factors, this fabric — agrees on the same graph.
 
 use mcgpu_types::{ChipId, MachineConfig, TopologyKind};

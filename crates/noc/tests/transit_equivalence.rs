@@ -7,13 +7,13 @@
 //! property drives both with the same random injections and link failures
 //! on ring, mesh and fully-connected fabrics of 2–16 chips and requires
 //! the same send results, the same `(cycle, chip, payload)` arrivals, the
-//! same `len()` and `chip_load(c)` every cycle, and byte-identical
-//! checkpoint payloads. Part-way through, the fabric under test is
-//! replaced by one restored from its own snapshot, so the restore path is
-//! held to the same oracle.
+//! same `len()`, `chip_load(c)`, delivered count and bytes sent (in total
+//! and per chip) every cycle. Each case ends by ticking both sides until
+//! they empty; a fabric that link failures partitioned never empties, so
+//! the payloads stranded in it must then be the same on both sides.
 
 use mcgpu_noc::{build_topology, FabricNetwork, SendError, Topology};
-use mcgpu_types::{ChipId, Dec, Enc, MachineConfig, Pipe, TopologyKind};
+use mcgpu_types::{ChipId, MachineConfig, Pipe, TopologyKind};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -153,39 +153,24 @@ impl ScanFabric {
             .sum()
     }
 
-    /// The checkpoint payload in the `FabricNetwork::save_with` layout,
-    /// with each chip's transit list written in arrival order.
-    fn save(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        let put_pkt = |e: &mut Enc, pkt: &Packet| {
-            e.put_u8(pkt.0 .0);
-            e.put_u64(pkt.1);
-            e.put_u32(pkt.2);
-        };
-        e.put_seq_len(self.links.len());
-        for chip in 0..self.links.len() {
-            for slot in 0..self.links[chip].len() {
-                self.links[chip][slot].save_with(&mut e, put_pkt);
-                e.put_bool(self.alive[chip][slot]);
-            }
-            for list in [&self.transit[chip], &self.arrived[chip]] {
-                e.put_seq_len(list.len());
-                for pkt in list {
-                    put_pkt(&mut e, pkt);
-                }
-            }
-            e.put_u64(self.sent_from[chip]);
-        }
-        e.put_u64(self.delivered);
-        e.put_u64(self.bytes_sent);
-        e.into_bytes()
+    /// Every payload still in the fabric, sorted.
+    fn stranded(&self) -> Vec<u32> {
+        let mut all: Vec<u32> = self
+            .links
+            .iter()
+            .flatten()
+            .flat_map(|pipe| pipe.iter().map(|p| p.2))
+            .chain(
+                self.transit
+                    .iter()
+                    .chain(&self.arrived)
+                    .flatten()
+                    .map(|p| p.2),
+            )
+            .collect();
+        all.sort_unstable();
+        all
     }
-}
-
-fn save(fabric: &FabricNetwork<u32>) -> Vec<u8> {
-    let mut e = Enc::new();
-    fabric.save_with(&mut e, |e, p| e.put_u32(*p));
-    e.into_bytes()
 }
 
 fn topology_kind() -> impl Strategy<Value = TopologyKind> {
@@ -205,8 +190,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The per-slot FIFO fabric and the scan-every-packet oracle agree on
-    /// every observable, every cycle, through link failures and a
-    /// snapshot/restore.
+    /// every observable, every cycle, through link failures, and hold the
+    /// same packets once drained.
     #[test]
     fn per_slot_fifos_match_the_scan_every_packet_oracle(
         kind in topology_kind(),
@@ -214,9 +199,9 @@ proptest! {
         queue_depth in 1usize..=32,
         link_gbs in 4.0f64..64.0,
         link_latency in 1u64..=6,
-        schedule in (1usize..=8, 0usize..=3, 1u64..INJECT_CYCLES, any::<u64>()),
+        schedule in (1usize..=8, 0usize..=3, any::<u64>()),
     ) {
-        let (load, failures, restore_at, seed) = schedule;
+        let (load, failures, seed) = schedule;
         let mut cfg = MachineConfig::paper_baseline();
         cfg.topology = kind;
         cfg.chips = chips;
@@ -252,22 +237,12 @@ proptest! {
                 oracle.fail_link(a, b);
                 prop_assert_eq!(fabric.link_alive(a, b), oracle.alive[a.index()][oracle.slot_towards(a, b)]);
             }
-            if now == restore_at || now % 97 == 0 {
-                let bytes = save(&fabric);
-                prop_assert!(bytes == oracle.save(), "snapshot bytes differ at cycle {}", now);
-                if now == restore_at {
-                    let mut restored: FabricNetwork<u32> = FabricNetwork::new(&cfg, queue_depth);
-                    let mut d = Dec::new(&bytes);
-                    restored.load_into(&mut d, |d| d.get_u32()).expect("restore");
-                    prop_assert!(d.finish().is_ok());
-                    fabric = restored;
-                }
-            }
             fabric.tick(now);
             oracle.tick(now);
             for chip in ChipId::all(chips) {
                 prop_assert_eq!(fabric.pop_arrivals(chip, now), oracle.pop_arrivals(chip), "arrivals at chip {} cycle {}", chip.0, now);
                 prop_assert_eq!(fabric.chip_load(chip), oracle.chip_load(chip));
+                prop_assert_eq!(fabric.bytes_sent_from(chip), oracle.sent_from[chip.index()]);
             }
             prop_assert_eq!(fabric.len(), oracle.len());
             prop_assert_eq!(fabric.delivered(), oracle.delivered);
@@ -277,6 +252,12 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(save(&fabric) == oracle.save(), "final snapshot bytes differ");
+        // Payloads are unique, so equal counts of each stranded payload
+        // mean both sides hold the same packets.
+        let stranded = oracle.stranded();
+        prop_assert_eq!(fabric.len(), stranded.len());
+        for p in stranded {
+            prop_assert_eq!(fabric.count_matching(|&x| x == p), 1, "payload {} stranded in the oracle only", p);
+        }
     }
 }

@@ -199,102 +199,6 @@ impl Chip {
         }
         (local, remote, cap)
     }
-
-    /// Serialize the chip's full live state (clusters, crossbars, slices,
-    /// memory partition, fabric-side queues) into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.clusters.len());
-        for cl in &self.clusters {
-            cl.save(e);
-        }
-        self.xbar_req.save_with(e, |e, env| env.save(e));
-        self.xbar_rsp.save_with(e, |e, env| env.save(e));
-        e.put_seq_len(self.slices.len());
-        for s in &self.slices {
-            s.cache.save(e);
-            s.service.save_with(e, |e, env| env.save(e));
-            s.pending.save(e);
-            e.put_bool(s.disabled);
-        }
-        self.memory.save(e);
-        self.fabric_egress.save_with(e, |e, p| p.save(e));
-        e.put_seq_len(self.pending_fabric.len());
-        for p in &self.pending_fabric {
-            p.save(e);
-        }
-        e.put_bool(self.fabric_retry.is_some());
-        if let Some(p) = &self.fabric_retry {
-            p.save(e);
-        }
-        e.put_seq_len(self.pending_req.len());
-        for env in &self.pending_req {
-            env.save(e);
-        }
-        e.put_seq_len(self.pending_rsp.len());
-        for env in &self.pending_rsp {
-            env.save(e);
-        }
-        self.bypass_to_mem.save_with(e, |e, env| env.save(e));
-    }
-
-    /// Restore state saved by [`Chip::save`] into this chip. The caller
-    /// must have re-attached the in-progress kernel's traces to the
-    /// clusters first.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// snapshot's geometry (cluster/slice counts) does not match this chip.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let n = d.get_seq_len()?;
-        if n != self.clusters.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "snapshot has {n} clusters, chip has {}",
-                self.clusters.len()
-            )));
-        }
-        for cl in &mut self.clusters {
-            cl.load_into(d)?;
-        }
-        self.xbar_req = mcgpu_noc::Crossbar::load_with(d, ReqEnvelope::load)?;
-        self.xbar_rsp = mcgpu_noc::Crossbar::load_with(d, RspEnvelope::load)?;
-        let n = d.get_seq_len()?;
-        if n != self.slices.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "snapshot has {n} LLC slices, chip has {}",
-                self.slices.len()
-            )));
-        }
-        for s in &mut self.slices {
-            s.cache.load_into(d)?;
-            s.service = Pipe::load_with(d, ReqEnvelope::load)?;
-            s.pending.load_into(d)?;
-            s.disabled = d.get_bool()?;
-        }
-        self.memory.load_into(d)?;
-        self.fabric_egress = Pipe::load_with(d, FabricPayload::load)?;
-        let n = d.get_seq_len()?;
-        self.pending_fabric.clear();
-        for _ in 0..n {
-            self.pending_fabric.push_back(FabricPayload::load(d)?);
-        }
-        self.fabric_retry = if d.get_bool()? {
-            Some(FabricPayload::load(d)?)
-        } else {
-            None
-        };
-        let n = d.get_seq_len()?;
-        self.pending_req.clear();
-        for _ in 0..n {
-            self.pending_req.push_back(ReqEnvelope::load(d)?);
-        }
-        let n = d.get_seq_len()?;
-        self.pending_rsp.clear();
-        for _ in 0..n {
-            self.pending_rsp.push_back(RspEnvelope::load(d)?);
-        }
-        self.bypass_to_mem = Pipe::load_with(d, ReqEnvelope::load)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

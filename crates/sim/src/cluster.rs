@@ -24,8 +24,8 @@ pub struct Cluster {
     mshrs: MshrFile,
     /// Set when `issue` stalled on a full MSHR file after a plain L1 miss.
     /// Until the L1 or the MSHR set changes (`complete_read`, `flush_l1`,
-    /// `load_kernel`, `load_into`), every retry would repeat that same
-    /// miss, so `issue` only counts it. Derived state: never serialized.
+    /// `load_kernel`), every retry would repeat that same miss, so `issue`
+    /// only counts it.
     mshr_stalled: bool,
     /// An access that missed the L1 but whose request could not be injected
     /// (backpressure); retried before the trace advances.
@@ -237,55 +237,6 @@ impl Cluster {
     pub fn l1_stats(&self) -> &mcgpu_cache::CacheStats {
         self.l1.stats()
     }
-
-    /// Serialize the cluster's live state (L1 contents, trace cursor,
-    /// MSHRs, pacing) into a checkpoint payload. The trace itself is not
-    /// serialized — restore re-attaches it from the workload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        self.l1.save(e);
-        e.put_usize(self.cursor);
-        e.put_u32(self.gap_remaining);
-        e.put_u32(self.compute_gap);
-        self.mshrs.save(e);
-        e.put_bool(self.deferred.is_some());
-        if let Some(acc) = &self.deferred {
-            e.put_access(acc);
-        }
-        e.put_u64(self.reads_done);
-        e.put_u64(self.writes_issued);
-    }
-
-    /// Restore state saved by [`Cluster::save`] into this cluster. The
-    /// caller must have re-attached the in-progress kernel's trace (via
-    /// [`Cluster::load_kernel`]) first — the saved cursor is validated
-    /// against the attached stream.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// saved cursor runs past the attached trace.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        self.mshr_stalled = false;
-        self.l1.load_into(d)?;
-        let cursor = d.get_usize()?;
-        if cursor > self.trace.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "cluster cursor {cursor} exceeds attached trace length {}",
-                self.trace.len()
-            )));
-        }
-        self.cursor = cursor;
-        self.gap_remaining = d.get_u32()?;
-        self.compute_gap = d.get_u32()?;
-        self.mshrs.load_into(d)?;
-        self.deferred = if d.get_bool()? {
-            Some(d.get_access()?)
-        } else {
-            None
-        };
-        self.reads_done = d.get_u64()?;
-        self.writes_issued = d.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -343,6 +294,19 @@ mod tests {
         assert!(!c.done());
         c.complete_read(&read(1));
         assert!(c.issue().is_some(), "freed MSHR allows the third miss");
+    }
+
+    #[test]
+    fn kernel_load_clears_the_mshr_stall() {
+        let mut cfg = cfg();
+        cfg.mshrs_per_cluster = 1;
+        let mut c = Cluster::new(&cfg, ClusterId::new(ChipId(0), 0));
+        c.load_kernel(vec![read(1), read(2)], 0);
+        assert!(c.issue().is_some());
+        assert!(c.issue().is_none(), "stalled on the full MSHR file");
+        // A new stream must issue, not replay the old stalled miss.
+        c.load_kernel(vec![write(3)], 0);
+        assert_eq!(c.issue().unwrap().0, write(3));
     }
 
     #[test]

@@ -92,43 +92,6 @@ impl DynamicCtl {
         self.last_ring_bytes = ring_bytes;
         self.last_mem_bytes = mem_bytes;
     }
-
-    /// Serialize the controller state into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_u64(self.epoch_cycles);
-        e.put_u64(self.next_epoch);
-        e.put_usize(self.assoc);
-        e.put_usize(self.local_ways);
-        e.put_u64(self.last_ring_bytes);
-        e.put_u64(self.last_mem_bytes);
-        e.put_u64(self.adjustments);
-    }
-
-    /// Deserialize a controller saved by [`DynamicCtl::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// saved way split is out of range for the saved associativity.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let epoch_cycles = d.get_u64()?;
-        let next_epoch = d.get_u64()?;
-        let assoc = d.get_usize()?;
-        let local_ways = d.get_usize()?;
-        if assoc < 2 || local_ways == 0 || local_ways >= assoc {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "invalid dynamic way split: {local_ways} local of {assoc} ways"
-            )));
-        }
-        Ok(DynamicCtl {
-            epoch_cycles,
-            next_epoch,
-            assoc,
-            local_ways,
-            last_ring_bytes: d.get_u64()?,
-            last_mem_bytes: d.get_u64()?,
-            adjustments: d.get_u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -55,24 +55,6 @@ impl SharerDirectory {
     pub(super) fn clear(&mut self) {
         self.masks.fill(0);
     }
-
-    /// Serialize the sharer table into a checkpoint payload.
-    pub(super) fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.masks.len());
-        for &m in &self.masks {
-            e.put_u64(m);
-        }
-    }
-
-    /// Deserialize a table saved by [`SharerDirectory::save`].
-    pub(super) fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let n = d.get_seq_len()?;
-        let mut masks = Vec::with_capacity(n);
-        for _ in 0..n {
-            masks.push(d.get_u64()?);
-        }
-        Ok(SharerDirectory { masks })
-    }
 }
 
 impl Simulator {

@@ -35,13 +35,6 @@ pub enum SimError {
         /// What the audit counted.
         report: Box<ConservationReport>,
     },
-    /// A checkpoint snapshot could not be written or restored. Carries the
-    /// underlying error rendered to text (I/O failure, torn or corrupt
-    /// snapshot, fingerprint mismatch).
-    Checkpoint {
-        /// What went wrong.
-        detail: String,
-    },
     /// The simulator could not be built or run from the given inputs.
     Config(ConfigError),
 }
@@ -67,9 +60,6 @@ impl std::fmt::Display for SimError {
                     f,
                     "request-conservation violation at cycle {cycle}: {report}"
                 )
-            }
-            SimError::Checkpoint { detail } => {
-                write!(f, "checkpoint failure: {detail}")
             }
             SimError::Config(e) => write!(f, "{e}"),
         }

@@ -22,14 +22,12 @@
 #![deny(missing_docs)]
 
 mod boundary;
-mod ckpt;
 mod coherence;
 mod diagnostics;
 mod faults;
 mod skip;
 mod tick;
 
-pub use ckpt::workload_fingerprint;
 pub use diagnostics::{
     ChipConservation, ChipSnapshot, ConservationReport, DeadlockSnapshot, SimError,
 };
@@ -62,8 +60,6 @@ pub struct SimBuilder {
     watchdog_window: u64,
     audit_period: u64,
     obs: ObsConfig,
-    ckpt_path: Option<std::path::PathBuf>,
-    ckpt_interval: u64,
     skip_idle: bool,
 }
 
@@ -95,8 +91,6 @@ impl SimBuilder {
                 0
             },
             obs: ObsConfig::off(),
-            ckpt_path: None,
-            ckpt_interval: 0,
             skip_idle: false,
         }
     }
@@ -148,30 +142,14 @@ impl SimBuilder {
         self
     }
 
-    /// Write a `mcgpu-ckpt-v1` engine snapshot to `path` roughly every
-    /// `interval` cycles (`0` disables checkpointing, the default). Writes
-    /// land on the engine's coarse 65,536-cycle checkpoint grid, so the
-    /// effective period is `interval` rounded up to that grid. Snapshot
-    /// writing is strictly read-only with respect to simulation state:
-    /// runs with checkpointing enabled are byte-identical to runs without.
-    /// Each write replaces the previous snapshot atomically
-    /// (write-tmp → fsync → rename), so a crash mid-write leaves the prior
-    /// snapshot readable.
-    pub fn checkpoint_to(mut self, path: impl Into<std::path::PathBuf>, interval: u64) -> Self {
-        self.ckpt_path = Some(path.into());
-        self.ckpt_interval = interval;
-        self
-    }
-
     /// Enable event-driven idle-cycle skipping (off by default). When the
     /// machine is completely quiescent — no request in flight, every queue
     /// empty, every bandwidth credit saturated — the engine jumps the
     /// clock to the next cycle at which any component can act instead of
     /// stepping through provably idle ticks. The skip is semantics-free by
     /// contract: runs with skipping enabled are byte-identical to stepped
-    /// runs (same [`RunStats`], same observability report, same checkpoint
-    /// bytes at the same cut points, and the same error at the same cycle
-    /// for deadlocked or over-budget runs). See the `skip` module docs for
+    /// runs (same [`RunStats`], same observability report, and the same
+    /// error at the same cycle for deadlocked or over-budget runs). See the `skip` module docs for
     /// the per-component next-event contract.
     pub fn skip_idle(mut self, enabled: bool) -> Self {
         self.skip_idle = enabled;
@@ -251,32 +229,11 @@ pub struct Simulator {
     // --- idle-cycle skipping ---
     /// Event-driven idle-cycle skipping enabled (off by default).
     skip_idle: bool,
-    /// Number of idle jumps performed (diagnostic only; never serialized
-    /// into stats, observability reports, or checkpoints).
+    /// Number of idle jumps performed (diagnostic only; never reported in
+    /// stats or observability reports).
     skip_jumps: u64,
     /// Total cycles elided by idle jumps (diagnostic only).
     skipped_cycles: u64,
-
-    // --- checkpointing ---
-    /// Where periodic snapshots are written (`None` = checkpointing off).
-    ckpt_path: Option<std::path::PathBuf>,
-    /// Requested snapshot period in cycles (`0` = off); writes land on the
-    /// coarse checkpoint grid.
-    ckpt_interval: u64,
-    /// Cycle of the last snapshot written (or the restore point).
-    last_ckpt_cycle: u64,
-    /// Cached workload fingerprint for periodic snapshot stamping
-    /// (computed once per run when checkpointing is enabled).
-    wl_fingerprint: Option<u64>,
-    /// Index of the kernel currently executing (a resume cursor).
-    kernel_index: usize,
-    /// Cycle the current kernel started at.
-    kernel_start_cycle: u64,
-    /// Completed work count when the current kernel started.
-    work_before: u64,
-    /// Set by [`Simulator::restore`]: the next `run` continues kernel
-    /// `resume_kernel` mid-stream instead of starting from kernel 0.
-    resume_kernel: Option<usize>,
 
     // --- observability ---
     /// Read-only run observer (`None` when observability is off, which is
@@ -313,8 +270,6 @@ impl Simulator {
             watchdog_window,
             audit_period,
             obs,
-            ckpt_path,
-            ckpt_interval,
             skip_idle,
         } = b;
         let obs = obs
@@ -346,14 +301,6 @@ impl Simulator {
             skip_idle,
             skip_jumps: 0,
             skipped_cycles: 0,
-            ckpt_path,
-            ckpt_interval,
-            last_ckpt_cycle: 0,
-            wl_fingerprint: None,
-            kernel_index: 0,
-            kernel_start_cycle: 0,
-            work_before: 0,
-            resume_kernel: None,
             obs,
             writes_done: 0,
             responses_by_origin: [0; 4],
@@ -375,12 +322,6 @@ impl Simulator {
         &self.cfg
     }
 
-    /// The chips' live state (clusters, slices, queues), read-only, for
-    /// inspecting a stopped machine.
-    pub fn chips(&self) -> &[Chip] {
-        &self.chips
-    }
-
     /// The simulated LLC organization.
     pub fn organization(&self) -> LlcOrgKind {
         self.policy.kind()
@@ -388,8 +329,8 @@ impl Simulator {
 
     /// Number of idle jumps the engine performed (0 unless
     /// [`SimBuilder::skip_idle`] enabled skipping). Diagnostic only: skip
-    /// accounting never appears in [`RunStats`], observability reports, or
-    /// checkpoints, which stay byte-identical to stepped runs.
+    /// accounting never appears in [`RunStats`] or observability reports,
+    /// which stay byte-identical to stepped runs.
     pub fn skip_jumps(&self) -> u64 {
         self.skip_jumps
     }
@@ -443,48 +384,30 @@ impl Simulator {
         every: u64,
         mut observer: impl FnMut(u64, u64, usize),
     ) -> Result<RunStats, SimError> {
-        if self.ckpt_interval != 0 && self.wl_fingerprint.is_none() {
-            self.wl_fingerprint = Some(workload_fingerprint(wl));
-        }
-        // A restore armed the resume cursor: skip everything the snapshot
-        // already contains (page seeding, completed kernels, the
-        // in-progress kernel's stream loading and `begin_kernel`).
-        let resume_at = self.resume_kernel.take();
-        if resume_at.is_none() {
-            // Pre-seed page placement from the workload layout (host-to-device
-            // transfers touch the data before kernel 0). This keeps placement
-            // identical across LLC organizations; pages outside the layout (none
-            // in generated workloads) still fall back to first-touch.
-            for p in 0..wl.layout.total_pages() {
-                let page = mcgpu_types::PageAddr(p);
-                if let Some(home) = wl.layout.natural_home(page) {
-                    self.page_table.home_of(page, home);
-                }
+        // Pre-seed page placement from the workload layout (host-to-device
+        // transfers touch the data before kernel 0). This keeps placement
+        // identical across LLC organizations; pages outside the layout (none
+        // in generated workloads) still fall back to first-touch.
+        for p in 0..wl.layout.total_pages() {
+            let page = mcgpu_types::PageAddr(p);
+            if let Some(home) = wl.layout.natural_home(page) {
+                self.page_table.home_of(page, home);
             }
         }
         for (ki, kernel) in wl.kernels.iter().enumerate() {
-            if resume_at.is_some_and(|r| ki < r) {
-                continue;
-            }
-            if resume_at != Some(ki) {
-                // Load the kernel's streams.
-                let gap = kernel.behavior.compute_gap;
-                for (flat, chip) in self.chips.iter_mut().enumerate() {
-                    for (ci, cluster) in chip.clusters.iter_mut().enumerate() {
-                        let idx = flat * self.cfg.clusters_per_chip + ci;
-                        cluster.load_kernel(kernel.per_cluster[idx].clone(), gap);
-                    }
+            // Load the kernel's streams.
+            let gap = kernel.behavior.compute_gap;
+            for (flat, chip) in self.chips.iter_mut().enumerate() {
+                for (ci, cluster) in chip.clusters.iter_mut().enumerate() {
+                    let idx = flat * self.cfg.clusters_per_chip + ci;
+                    cluster.load_kernel(kernel.per_cluster[idx].clone(), gap);
                 }
-                self.kernel_index = ki;
-                self.kernel_start_cycle = self.cycle;
-                self.work_before = self.cluster_reads_total() + self.writes_done;
-
-                let (now, ring_bytes, mem_bytes) =
-                    (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
-                self.policy.begin_kernel(now, ring_bytes, mem_bytes);
             }
-            let kernel_start_cycle = self.kernel_start_cycle;
-            let work_before = self.work_before;
+            let kernel_start_cycle = self.cycle;
+            let work_before = self.cluster_reads_total() + self.writes_done;
+            let (now, ring_bytes, mem_bytes) =
+                (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
+            self.policy.begin_kernel(now, ring_bytes, mem_bytes);
 
             // Execute until the kernel completes.
             while !self.kernel_done() {
@@ -493,7 +416,6 @@ impl Simulator {
                 }
                 self.tick(true);
                 self.check_progress()?;
-                self.maybe_checkpoint()?;
                 if every != u64::MAX && self.cycle.is_multiple_of(every) {
                     observer(
                         self.cycle,

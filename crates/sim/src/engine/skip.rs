@@ -11,14 +11,15 @@
 //!
 //! The contract is *byte identity*: with skipping enabled, a run must
 //! produce the same [`RunStats`](crate::stats::RunStats), the same
-//! observability report, and the same checkpoint bytes at the same cut
-//! points as the stepped loop. The scan therefore stops at every cycle
-//! where the stepped loop does anything at all, however small:
+//! observability report, and the same error at the same cycle as the
+//! stepped loop. The scan therefore stops at every cycle where the stepped
+//! loop does anything at all, however small:
 //!
 //! * **Clusters** — an eligible cluster (within the CTA wave-lead bound)
 //!   issues when its gap countdown expires, or immediately when it holds a
-//!   deferred access; done clusters still drain their gap counter, which is
-//!   checkpointed state, so the jump replays the decrements in bulk.
+//!   deferred access; done clusters still drain their gap counter, which
+//!   the next kernel's first issue reads, so the jump replays the
+//!   decrements in bulk.
 //! * **Fault plan** — the next scheduled hardware fault.
 //! * **Policy** — [`LlcOrgPolicy::next_policy_event`] bounds when the
 //!   organization's `on_cycle` hook can next act (SAC profiling deadlines,
@@ -27,8 +28,7 @@
 //!   cycles, the observability epoch window, and the caller's throughput
 //!   observer cadence. Occupancy sampling accumulates `f64` state even
 //!   when idle, so the real tick must run at each grid point.
-//! * **Guard grids** — the checkpoint-write grid ([`CKPT_WRITE_PERIOD`])
-//!   and the conservation-audit period.
+//! * **Audit grid** — the conservation-audit period.
 //! * **Watchdog** — the forward-progress deadline. The stepped loop checks
 //!   the watchdog every cycle; folding `watchdog_cycle + watchdog_window`
 //!   into the scan means a quiescent-but-wedged machine still reports
@@ -43,22 +43,19 @@
 //! [`tick`]: Simulator::tick
 //! [`LlcOrgPolicy::next_policy_event`]: crate::org::LlcOrgPolicy::next_policy_event
 
-use super::ckpt::CKPT_WRITE_PERIOD;
 use super::tick::{CTA_WAVE_LEAD, OCC_SAMPLE_PERIOD};
 use super::Simulator;
 use crate::chip::Chip;
 use crate::cluster::Cluster;
 use crate::org::Pause;
 
-/// Smallest cycle strictly greater than `now` congruent to `phase`
-/// modulo `period`. Returns `u64::MAX` for a zero period (no such grid).
-fn next_on_grid(now: u64, period: u64, phase: u64) -> u64 {
+/// Smallest multiple of `period` strictly greater than `now`. Returns
+/// `u64::MAX` for a zero period (no such grid).
+fn next_on_grid(now: u64, period: u64) -> u64 {
     if period == 0 {
         return u64::MAX;
     }
-    let r = now % period;
-    let delta = (phase + period - r - 1) % period + 1;
-    now.saturating_add(delta)
+    now.saturating_add(period - now % period)
 }
 
 impl Simulator {
@@ -71,7 +68,7 @@ impl Simulator {
     pub(super) fn skip_quiescent_cycles(&mut self, every: u64) {
         // Cheap gate first, then the full no-op proof: every queue empty
         // and every bandwidth credit bitwise saturated, so the skipped
-        // refills would not have changed checkpointed state.
+        // refills would not have changed any state.
         if self.in_flight != 0 || self.pause != Pause::Running {
             return;
         }
@@ -127,21 +124,16 @@ impl Simulator {
 
         // Sampling grids: occupancy, observability epochs, the caller's
         // throughput observer.
-        event = event.min(next_on_grid(now, OCC_SAMPLE_PERIOD, 0));
+        event = event.min(next_on_grid(now, OCC_SAMPLE_PERIOD));
         if let Some(o) = self.obs.as_deref() {
-            event = event.min(next_on_grid(now, o.epoch_window(), 0));
+            event = event.min(next_on_grid(now, o.epoch_window()));
         }
         if every != u64::MAX {
-            event = event.min(next_on_grid(now, every, 0));
+            event = event.min(next_on_grid(now, every));
         }
 
-        // Guard grids: checkpoint writes and the conservation audit.
-        if self.ckpt_interval != 0 {
-            event = event.min(next_on_grid(now, CKPT_WRITE_PERIOD, 1));
-        }
-        if self.audit_period != 0 {
-            event = event.min(next_on_grid(now, self.audit_period, 0));
-        }
+        // The conservation audit's grid.
+        event = event.min(next_on_grid(now, self.audit_period));
 
         // The forward-progress watchdog: the stepped loop would abort with
         // `Deadlock` once `cycle - watchdog_cycle >= watchdog_window`, so
@@ -183,15 +175,12 @@ mod tests {
     #[test]
     fn grid_arithmetic() {
         // Next multiple of 256 strictly after `now`.
-        assert_eq!(next_on_grid(0, 256, 0), 256);
-        assert_eq!(next_on_grid(255, 256, 0), 256);
-        assert_eq!(next_on_grid(256, 256, 0), 512);
-        // Next cycle == 1 (mod 65_536) strictly after `now`.
-        assert_eq!(next_on_grid(0, 65_536, 1), 1);
-        assert_eq!(next_on_grid(1, 65_536, 1), 65_537);
-        assert_eq!(next_on_grid(2, 65_536, 1), 65_537);
-        assert_eq!(next_on_grid(65_536, 65_536, 1), 65_537);
+        assert_eq!(next_on_grid(0, 256), 256);
+        assert_eq!(next_on_grid(255, 256), 256);
+        assert_eq!(next_on_grid(256, 256), 512);
+        // Saturates instead of wrapping near the top of the clock.
+        assert_eq!(next_on_grid(u64::MAX - 1, 256), u64::MAX);
         // Degenerate period.
-        assert_eq!(next_on_grid(7, 0, 0), u64::MAX);
+        assert_eq!(next_on_grid(7, 0), u64::MAX);
     }
 }

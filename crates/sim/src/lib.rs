@@ -46,8 +46,8 @@ pub mod packet;
 pub mod stats;
 
 pub use engine::{
-    workload_fingerprint, ChipConservation, ChipSnapshot, ConservationReport, DeadlockSnapshot,
-    SimBuilder, SimError, Simulator,
+    ChipConservation, ChipSnapshot, ConservationReport, DeadlockSnapshot, SimBuilder, SimError,
+    Simulator,
 };
 pub use obs::{EpochSample, LatencyHistogram, MachineSnapshot, ObsReport, Observer, HIST_BUCKETS};
 pub use org::{BoundaryAction, LlcOrgPolicy, OrgDescriptor, RouteMode, REGISTRY};

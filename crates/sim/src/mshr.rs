@@ -3,12 +3,11 @@
 //! every fill, and both grow large at figure volume — an L1 MSHR file holds
 //! up to `mshrs_per_cluster` entries (256 in the experiment baseline), and a
 //! slice's table is unbounded (thousands of fetches wait behind deep DRAM
-//! queues). Each keeps its entries in one `Vec`, whose order the checkpoint
-//! format records, plus an index from line to position, so every
-//! operation is O(1).
+//! queues). Each keeps its entries in one `Vec` plus an index from line to
+//! position, so every operation is O(1). Nothing reads the entries in
+//! order, so the order itself is not observable.
 
 use crate::packet::ReqEnvelope;
-use mcgpu_types::{CkptResult, Dec, Enc};
 
 /// Marks an unused [`LineIndex`] slot.
 const EMPTY: u32 = u32::MAX;
@@ -79,19 +78,9 @@ impl LineIndex {
         self.slots[s] = u32::try_from(pos).expect("miss-status table exceeds u32 positions");
     }
 
-    /// Unindex everything, keeping the allocation (the owner's entries
-    /// were cleared).
-    fn clear(&mut self) {
-        self.slots.fill(EMPTY);
-    }
-
     /// Re-index every entry from scratch, growing (never shrinking) the
-    /// table so it stays at most half full. An empty, unallocated index
-    /// stays unallocated.
+    /// table so it stays at most half full.
     fn rebuild<T>(&mut self, entries: &[(u64, T)]) {
-        if entries.is_empty() && self.slots.is_empty() {
-            return;
-        }
         let size = (2 * entries.len())
             .next_power_of_two()
             .max(MIN_SLOTS)
@@ -203,34 +192,6 @@ impl MshrFile {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serialize the entries, in order, into a checkpoint payload. The
-    /// index is derived state and is not saved.
-    pub fn save(&self, e: &mut Enc) {
-        e.put_seq_len(self.entries.len());
-        for &(line, merged) in &self.entries {
-            e.put_u64(line);
-            e.put_u32(merged);
-        }
-    }
-
-    /// Replace the contents with entries saved by [`MshrFile::save`] and
-    /// rebuild the index (left empty, not stale, on a decode error).
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load_into(&mut self, d: &mut Dec<'_>) -> CkptResult<()> {
-        let n = d.get_seq_len()?;
-        self.entries.clear();
-        self.index.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let merged = d.get_u32()?;
-            self.entries.push((line, merged));
-        }
-        self.index.rebuild(&self.entries);
-        Ok(())
-    }
 }
 
 /// Slice MSHRs: outstanding line fetches with the requests merged onto
@@ -293,43 +254,5 @@ impl PendingFetches {
     /// Whether no fetch is outstanding.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Serialize the outstanding fetches, in order, into a checkpoint
-    /// payload. The index and the recycled spare pool are derived or
-    /// allocation-only state and are not saved.
-    pub fn save(&self, e: &mut Enc) {
-        e.put_seq_len(self.entries.len());
-        for (line, waiters) in &self.entries {
-            e.put_u64(*line);
-            e.put_seq_len(waiters.len());
-            for w in waiters {
-                w.save(e);
-            }
-        }
-    }
-
-    /// Replace the contents with fetches saved by
-    /// [`PendingFetches::save`] and rebuild the index (left empty, not
-    /// stale, on a decode error).
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load_into(&mut self, d: &mut Dec<'_>) -> CkptResult<()> {
-        let n = d.get_seq_len()?;
-        self.entries.clear();
-        self.index.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let m = d.get_seq_len()?;
-            let mut waiters = self.spare.pop().unwrap_or_default();
-            waiters.reserve(m);
-            for _ in 0..m {
-                waiters.push(ReqEnvelope::load(d)?);
-            }
-            self.entries.push((line, waiters));
-        }
-        self.index.rebuild(&self.entries);
-        Ok(())
     }
 }

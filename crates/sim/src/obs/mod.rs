@@ -30,55 +30,8 @@ pub use timeline::{ChipSample, EpochRecorder, EpochSample, MachineSnapshot};
 pub use trace::{TraceSink, TID_KERNELS, TID_SAC};
 
 use crate::stats::JsonWriter;
-use mcgpu_types::{CkptError, CkptResult, Dec, Enc, ObsConfig, ResponseOrigin};
+use mcgpu_types::{ObsConfig, ResponseOrigin};
 use sac::controller::KernelRecord;
-
-/// Every `&'static str` label the observability layer stores inline
-/// (route modes, pause states, controller states, trace track/counter
-/// names). Checkpoint restore interns decoded label strings against this
-/// table so restored state keeps `&'static str` fields without leaking in
-/// the common case.
-const KNOWN_LABELS: &[&str] = &[
-    // Route modes / pause states / controller states.
-    "memory-side",
-    "sm-side",
-    "tiered",
-    "running",
-    "sac-drain",
-    "sac-flush",
-    "-",
-    "idle",
-    "profiling",
-    "draining-to-sm-side",
-    "draining-to-memory-side",
-    "flushing",
-    "running-memory-side",
-    "running-sm-side",
-    // Trace metadata and counter names.
-    "process_name",
-    "thread_name",
-    "in_flight",
-    "active_clusters",
-    "dram_bytes",
-    "ring_sent_bytes",
-    "queue_depth",
-    "llc_hit_rate",
-    "requests",
-    "clusters",
-    "bytes",
-    "rate",
-];
-
-/// Intern a decoded label: return the matching entry of [`KNOWN_LABELS`],
-/// or leak the string (a one-off few-byte allocation on the cold restore
-/// path) when a snapshot carries a label this build does not know.
-pub(crate) fn intern_label(s: &str) -> &'static str {
-    KNOWN_LABELS
-        .iter()
-        .find(|&&k| k == s)
-        .copied()
-        .unwrap_or_else(|| Box::leak(s.to_string().into_boxed_str()))
-}
 
 /// Collects observability data during a run via engine hooks.
 ///
@@ -254,96 +207,6 @@ impl Observer {
         if let Some(t) = self.trace.as_mut() {
             t.span(0, TID_KERNELS, "kernel-boundary", start, end, vec![]);
         }
-    }
-
-    /// Serialize the full recording state (issue cycles, histograms,
-    /// timeline, trace events, open spans) into a checkpoint payload, so a
-    /// restored run's observability reports are byte-identical to an
-    /// uninterrupted run's.
-    pub fn save(&self, e: &mut Enc) {
-        e.put_u64(self.cfg.epoch_window);
-        e.put_bool(self.cfg.level.enabled());
-        e.put_bool(self.cfg.level.trace_enabled());
-        e.put_seq_len(self.issue_cycles.len());
-        for &c in &self.issue_cycles {
-            e.put_u64(c);
-        }
-        e.put_seq_len(self.hists.len());
-        for chip in &self.hists {
-            for h in chip {
-                h.save(e);
-            }
-        }
-        self.recorder.save(e);
-        e.put_bool(self.trace.is_some());
-        if let Some(t) = &self.trace {
-            t.save(e);
-        }
-        e.put_bool(self.open_pause.is_some());
-        if let Some((start, label)) = &self.open_pause {
-            e.put_u64(*start);
-            e.put_str(label);
-        }
-    }
-
-    /// Restore state saved by [`Observer::save`] into this observer.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// snapshot's observability configuration (level, epoch window) does
-    /// not match this observer's.
-    pub fn load_into(&mut self, d: &mut Dec<'_>) -> CkptResult<()> {
-        let epoch_window = d.get_u64()?;
-        let enabled = d.get_bool()?;
-        let trace_enabled = d.get_bool()?;
-        if epoch_window != self.cfg.epoch_window
-            || enabled != self.cfg.level.enabled()
-            || trace_enabled != self.cfg.level.trace_enabled()
-        {
-            return Err(CkptError::Decode(format!(
-                "snapshot observability config (window {epoch_window}, enabled {enabled}, \
-                 trace {trace_enabled}) does not match the run's (window {}, enabled {}, trace {})",
-                self.cfg.epoch_window,
-                self.cfg.level.enabled(),
-                self.cfg.level.trace_enabled()
-            )));
-        }
-        let n = d.get_seq_len()?;
-        self.issue_cycles.clear();
-        self.issue_cycles.reserve(n);
-        for _ in 0..n {
-            self.issue_cycles.push(d.get_u64()?);
-        }
-        let n = d.get_seq_len()?;
-        if n != self.hists.len() {
-            return Err(CkptError::Decode(format!(
-                "snapshot has histograms for {n} chips, observer has {}",
-                self.hists.len()
-            )));
-        }
-        for chip in &mut self.hists {
-            for h in chip.iter_mut() {
-                *h = LatencyHistogram::load(d)?;
-            }
-        }
-        self.recorder = EpochRecorder::load(d)?;
-        let has_trace = d.get_bool()?;
-        if has_trace != self.trace.is_some() {
-            return Err(CkptError::Decode(
-                "snapshot trace presence does not match the run's trace level".to_string(),
-            ));
-        }
-        if has_trace {
-            self.trace = Some(TraceSink::load(d)?);
-        }
-        self.open_pause = if d.get_bool()? {
-            let start = d.get_u64()?;
-            let label = intern_label(d.get_str()?);
-            Some((start, label))
-        } else {
-            None
-        };
-        Ok(())
     }
 
     /// Consume the observer into a report. `final_snap` is the machine at

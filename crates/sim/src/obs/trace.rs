@@ -168,96 +168,6 @@ impl TraceSink {
         self.events.is_empty()
     }
 
-    /// Serialize the collected events into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.events.len());
-        for ev in &self.events {
-            e.put_u64(ev.pid);
-            e.put_u64(ev.tid);
-            e.put_u64(ev.ts);
-            match &ev.payload {
-                Payload::Meta { name, value } => {
-                    e.put_u8(0);
-                    e.put_str(name);
-                    e.put_str(value);
-                }
-                Payload::Span { name, dur, args } => {
-                    e.put_u8(1);
-                    e.put_str(name);
-                    e.put_u64(*dur);
-                    save_args(e, args);
-                }
-                Payload::Instant { name, args } => {
-                    e.put_u8(2);
-                    e.put_str(name);
-                    save_args(e, args);
-                }
-                Payload::Counter { name, series } => {
-                    e.put_u8(3);
-                    e.put_str(name);
-                    e.put_seq_len(series.len());
-                    for (k, v) in series {
-                        e.put_str(k);
-                        e.put_str(v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deserialize a sink saved by [`TraceSink::save`]. Static label fields
-    /// are interned against the engine's known label vocabulary.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let n = d.get_seq_len()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            let pid = d.get_u64()?;
-            let tid = d.get_u64()?;
-            let ts = d.get_u64()?;
-            let payload = match d.get_u8()? {
-                0 => Payload::Meta {
-                    name: super::intern_label(d.get_str()?),
-                    value: d.get_str()?.to_string(),
-                },
-                1 => Payload::Span {
-                    name: d.get_str()?.to_string(),
-                    dur: d.get_u64()?,
-                    args: load_args(d)?,
-                },
-                2 => Payload::Instant {
-                    name: d.get_str()?.to_string(),
-                    args: load_args(d)?,
-                },
-                3 => {
-                    let name = super::intern_label(d.get_str()?);
-                    let m = d.get_seq_len()?;
-                    let mut series = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let k = super::intern_label(d.get_str()?);
-                        let v = d.get_str()?.to_string();
-                        series.push((k, v));
-                    }
-                    Payload::Counter { name, series }
-                }
-                t => {
-                    return Err(mcgpu_types::CkptError::Decode(format!(
-                        "unknown trace event tag {t}"
-                    )))
-                }
-            };
-            events.push(Event {
-                pid,
-                tid,
-                ts,
-                payload,
-            });
-        }
-        Ok(TraceSink { events })
-    }
-
     /// Serialize to Chrome `trace_event` JSON (one event per line).
     ///
     /// Events are sorted by `(pid, tid, ts, metadata-first, longest span
@@ -322,25 +232,6 @@ impl TraceSink {
         out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
         out
     }
-}
-
-fn save_args(e: &mut mcgpu_types::Enc, args: &[(String, String)]) {
-    e.put_seq_len(args.len());
-    for (k, v) in args {
-        e.put_str(k);
-        e.put_str(v);
-    }
-}
-
-fn load_args(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Vec<(String, String)>> {
-    let n = d.get_seq_len()?;
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = d.get_str()?.to_string();
-        let v = d.get_str()?.to_string();
-        args.push((k, v));
-    }
-    Ok(args)
 }
 
 fn render_args(args: &[(String, String)]) -> String {

@@ -78,13 +78,4 @@ impl LlcOrgPolicy for DynamicPolicy {
         // at exactly the stepped loop's cycle.
         self.ctl.next_epoch()
     }
-
-    fn save_state(&self, e: &mut mcgpu_types::Enc) {
-        self.ctl.save(e);
-    }
-
-    fn load_state(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        self.ctl = DynamicCtl::load(d)?;
-        Ok(())
-    }
 }

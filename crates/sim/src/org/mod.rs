@@ -225,20 +225,6 @@ pub trait LlcOrgPolicy: std::fmt::Debug + Send {
         None
     }
 
-    /// Serialize the policy's internal controller state into a checkpoint
-    /// payload. Stateless organizations (memory-side, SM-side, static)
-    /// write nothing; the Dynamic and SAC controllers override this.
-    fn save_state(&self, _e: &mut mcgpu_types::Enc) {}
-
-    /// Restore controller state saved by
-    /// [`save_state`](LlcOrgPolicy::save_state) into this policy.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    fn load_state(&mut self, _d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        Ok(())
-    }
-
     /// The SAC controller, when this policy is the SAC organization — the
     /// engine's profiling taps and statistics reporting read it directly.
     fn sac(&self) -> Option<&SacController> {

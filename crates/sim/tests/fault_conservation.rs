@@ -142,11 +142,8 @@ fn run_under_plan(org: LlcOrgKind, m: usize, events: Vec<FaultEvent>) {
         }
         Err(SimError::CycleLimit { .. }) => {}
         Err(SimError::Config(e)) => panic!("validated plan rejected at run time: {e}"),
-        // The conservation audit must hold under fault injection and no
-        // checkpoint is configured — either is a real failure here.
-        Err(e @ (SimError::InvariantViolation { .. } | SimError::Checkpoint { .. })) => {
-            panic!("unexpected abort: {e}")
-        }
+        // The conservation audit must hold under fault injection.
+        Err(e @ SimError::InvariantViolation { .. }) => panic!("unexpected abort: {e}"),
     }
 }
 

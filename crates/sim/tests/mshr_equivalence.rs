@@ -7,17 +7,16 @@
 //! the same `Vec`, searched by a linear scan. The properties drive each
 //! pair with the same random operation sequences — over line sets small
 //! enough to merge often and large enough to grow the index several times
-//! and build long probe runs — and require the same return values after
-//! every step and byte-identical checkpoint payloads, which record every
-//! entry in order (so `swap_remove`'s reordering must match too): after
-//! every step for the MSHR file, every 16 steps for the slice table. Now and
-//! then the table under test is replaced by one restored from its own
-//! snapshot into a table holding other entries, so the index rebuild on
-//! load is held to the same oracle.
+//! and build long probe runs — and require the same return values, `len`
+//! and `waiting` after every step. Each case ends by retiring (or taking)
+//! every line of the universe on both sides: each must return the same
+//! merged count (or waiter list), and both sides must end empty, so an
+//! index that loses or mis-points an entry cannot hide in lines the random
+//! sequence never came back to.
 
 use mcgpu_sim::mshr::{MshrFile, PendingFetches};
 use mcgpu_sim::packet::{ReqEnvelope, ReqStage};
-use mcgpu_types::{ChipId, ClusterId, Dec, Enc, MemAccess, Request, RequestId};
+use mcgpu_types::{ChipId, ClusterId, MemAccess, Request, RequestId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,17 +46,6 @@ impl ScanMshrs {
             Some(i) => self.entries.swap_remove(i).1,
             None => 1,
         }
-    }
-
-    /// The checkpoint payload in the `MshrFile::save` layout.
-    fn save(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.put_seq_len(self.entries.len());
-        for &(line, merged) in &self.entries {
-            e.put_u64(line);
-            e.put_u32(merged);
-        }
-        e.into_bytes()
     }
 }
 
@@ -93,38 +81,17 @@ impl ScanFetches {
     fn waiting(&self) -> usize {
         self.entries.iter().map(|(_, w)| w.len()).sum()
     }
-
-    /// The checkpoint payload in the `PendingFetches::save` layout.
-    fn save(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.put_seq_len(self.entries.len());
-        for (line, waiters) in &self.entries {
-            e.put_u64(*line);
-            e.put_seq_len(waiters.len());
-            for w in waiters {
-                w.save(&mut e);
-            }
-        }
-        e.into_bytes()
-    }
 }
 
-fn save_mshrs(m: &MshrFile) -> Vec<u8> {
-    let mut e = Enc::new();
-    m.save(&mut e);
-    e.into_bytes()
+/// The `i`-th line of a universe spread by `stride`, so keys share low
+/// bits (strided traffic) as well as high ones.
+fn nth_line(i: u64, stride: u64) -> u64 {
+    i.wrapping_mul(stride) ^ 0x5a5a
 }
 
-fn save_fetches(p: &PendingFetches) -> Vec<u8> {
-    let mut e = Enc::new();
-    p.save(&mut e);
-    e.into_bytes()
-}
-
-/// A line drawn from `universe` distinct values spread by `stride`, so
-/// keys share low bits (strided traffic) as well as high ones.
+/// A line drawn from the first `universe` lines.
 fn line(rng: &mut SmallRng, universe: u64, stride: u64) -> u64 {
-    rng.gen_range(0..universe).wrapping_mul(stride) ^ 0x5a5a
+    nth_line(rng.gen_range(0..universe), stride)
 }
 
 fn envelope(id: u64, line: u64) -> ReqEnvelope {
@@ -163,14 +130,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The indexed MSHR file and the linear-scan file agree on every
-    /// `merge` and `retire` result, `len`, and the ordered entries, through
-    /// snapshot/restore into a stale table.
+    /// `merge` and `retire` result and `len`, and drain identically.
     #[test]
     fn indexed_mshr_file_matches_the_linear_scan(
         universe in 1u64..=700,
         stride in stride(),
         limit in 1usize..=300,
-        restore_every in 50usize..=1_000,
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -199,31 +164,21 @@ proptest! {
             }
             prop_assert_eq!(file.len(), oracle.entries.len());
             prop_assert_eq!(file.is_empty(), oracle.entries.is_empty());
-            let bytes = save_mshrs(&file);
-            prop_assert!(bytes == oracle.save(), "entries differ at step {}", step);
-            if step % restore_every == restore_every - 1 {
-                // Restore into a table that already holds other lines.
-                let mut restored = MshrFile::with_capacity(limit);
-                for i in 0..rng.gen_range(0..64u64) {
-                    restored.allocate(i * 7 + 1);
-                }
-                let mut d = Dec::new(&bytes);
-                restored.load_into(&mut d).expect("restore");
-                prop_assert!(d.finish().is_ok());
-                file = restored;
-            }
         }
+        for i in 0..universe {
+            let l = nth_line(i, stride);
+            prop_assert_eq!(file.retire(l), oracle.retire(l), "draining retire {}", l);
+        }
+        prop_assert!(file.is_empty() && oracle.entries.is_empty());
     }
 
     /// The indexed slice table and the linear-scan table agree on every
-    /// `contains`, `merge` and `take` result, `waiting`, and the ordered
-    /// entries, with drained lists recycled early or late, through
-    /// snapshot/restore into a stale table.
+    /// `contains`, `merge` and `take` result and `waiting`, with drained
+    /// lists recycled early or late, and drain identically.
     #[test]
     fn indexed_pending_fetches_match_the_linear_scan(
         universe in 1u64..=3_000,
         stride in stride(),
-        restore_every in 50usize..=1_000,
         seed in any::<u64>(),
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -268,25 +223,12 @@ proptest! {
             }
             prop_assert_eq!(table.is_empty(), oracle.entries.is_empty());
             prop_assert_eq!(table.waiting(), oracle.waiting());
-            // Waiter lists make a full payload costly, so the ordered
-            // entries are compared every few steps (and at every restore).
-            let restore = step % restore_every == restore_every - 1;
-            if !(restore || step % 16 == 0 || step == STEPS - 1) {
-                continue;
-            }
-            let bytes = save_fetches(&table);
-            prop_assert!(bytes == oracle.save(), "entries differ at step {}", step);
-            if restore {
-                let mut restored = PendingFetches::default();
-                for i in 0..rng.gen_range(0..64u64) {
-                    restored.begin(i * 7 + 1);
-                    restored.merge(i * 7 + 1, envelope(i, i));
-                }
-                let mut d = Dec::new(&bytes);
-                restored.load_into(&mut d).expect("restore");
-                prop_assert!(d.finish().is_ok());
-                table = restored;
-            }
         }
+        for i in 0..universe {
+            let l = nth_line(i, stride);
+            prop_assert_eq!(table.take(l), oracle.take(l), "draining take {}", l);
+        }
+        prop_assert!(table.is_empty() && oracle.entries.is_empty());
+        prop_assert_eq!(table.waiting(), 0);
     }
 }

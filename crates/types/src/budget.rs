@@ -120,32 +120,12 @@ impl BandwidthBudget {
     /// unchanged. This is the idle-skip saturation test: once an idle
     /// budget's credit has climbed to its cap (a handful of cycles after its
     /// last transfer), further refills are no-ops and the cycles between can
-    /// be skipped without perturbing checkpointed state. Compared on exact
-    /// bit patterns because budget credits serialize bit-exactly into
-    /// `mcgpu-ckpt-v1` snapshots.
+    /// be skipped without perturbing engine state. Compared on exact bit
+    /// patterns: a skip is only sound if the credit after the skipped
+    /// refills is the very same `f64`, or later arbitration could differ.
     #[inline]
     pub fn refill_is_noop(&self) -> bool {
         ((self.credit + self.rate).min(self.cap)).to_bits() == self.credit.to_bits()
-    }
-
-    /// Serialize into a checkpoint payload (exact bit patterns — a
-    /// negative or infinite credit round-trips unchanged).
-    pub fn save(&self, e: &mut crate::ckpt::Enc) {
-        e.put_f64(self.rate);
-        e.put_f64(self.credit);
-        e.put_f64(self.cap);
-    }
-
-    /// Deserialize from a checkpoint payload.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input.
-    pub fn load(d: &mut crate::ckpt::Dec<'_>) -> crate::ckpt::CkptResult<Self> {
-        Ok(BandwidthBudget {
-            rate: d.get_f64()?,
-            credit: d.get_f64()?,
-            cap: d.get_f64()?,
-        })
     }
 }
 

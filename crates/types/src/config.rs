@@ -99,9 +99,8 @@ pub struct PolicyCtx {
 /// Inter-chip fabric topology connecting the package's GPU chips.
 ///
 /// The structural facts (neighbor sets, canonical link list, degrees) live
-/// here on [`MachineConfig`] so that validation, fault plans and the
-/// checkpoint fingerprint agree with the behavioral implementation in
-/// `mcgpu-noc` without a dependency cycle.
+/// here on [`MachineConfig`] so that validation and fault plans agree with
+/// the behavioral implementation in `mcgpu-noc` without a dependency cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// Bidirectional ring (the paper's Table 3 machine).

@@ -1,8 +1,7 @@
 //! Durable, atomic file writes.
 //!
-//! Every on-disk artifact that must survive a crash — the run journal and
-//! engine checkpoints — is written through this module's
-//! single primitive: write a sibling `*.tmp` file, `fsync` it, atomically
+//! Every on-disk artifact that must survive a crash — the run journal — is
+//! written through this module's single primitive: write a sibling `*.tmp` file, `fsync` it, atomically
 //! `rename` it over the destination, then `fsync` the directory so the
 //! rename itself is durable. A reader therefore sees either the complete
 //! previous file or the complete new file, never a torn mixture.
@@ -14,18 +13,16 @@
 //! thread-local one-shot [`FailPoint`] that makes the *next* matching I/O
 //! step fail exactly the way a power loss at that instant would look
 //! (half-written tmp file, unsynced data, missing rename). Production code
-//! never arms it; tests use it to prove the journal and
-//! checkpoint writers either complete atomically or leave the previous
-//! state readable.
+//! never arms it; tests use it to prove the journal writer either
+//! completes atomically or leaves the previous state readable.
 
 use std::cell::Cell;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// Suffix used for in-progress temporary files; anything with this suffix
-/// in a state directory is garbage from an interrupted write and may be
-/// reaped.
+/// Suffix used for in-progress temporary files; a file with this suffix
+/// is garbage from an interrupted write.
 pub const TMP_SUFFIX: &str = ".tmp";
 
 /// A point in the durable-write sequence where an injected failure strikes.
@@ -177,8 +174,8 @@ mod tests {
     #[test]
     fn tmp_path_appends_suffix() {
         assert_eq!(
-            tmp_path(Path::new("/x/y/ckpt.bin")),
-            Path::new("/x/y/ckpt.bin.tmp")
+            tmp_path(Path::new("/x/y/state.bin")),
+            Path::new("/x/y/state.bin.tmp")
         );
     }
 }

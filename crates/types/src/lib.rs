@@ -22,7 +22,6 @@
 
 pub mod addr;
 pub mod budget;
-pub mod ckpt;
 pub mod config;
 pub mod error;
 pub mod expect;
@@ -37,7 +36,6 @@ pub mod pipe;
 
 pub use addr::{Address, LineAddr, PageAddr, SectorId};
 pub use budget::BandwidthBudget;
-pub use ckpt::{CkptError, CkptResult, Dec, Enc};
 pub use config::{
     CoherenceKind, LlcOrgKind, MachineConfig, MemoryInterface, PolicyCtx, ScaleFactor,
     TopologyKind, GB_S,

@@ -167,73 +167,6 @@ impl<T> Pipe<T> {
     pub fn tick_is_noop(&self) -> bool {
         self.is_empty() && self.budget.refill_is_noop()
     }
-
-    /// Serialize the full pipe state (budget, latency, capacity, both
-    /// queues) into a checkpoint payload, encoding each item with `f`.
-    pub fn save_with(
-        &self,
-        e: &mut crate::ckpt::Enc,
-        mut f: impl FnMut(&mut crate::ckpt::Enc, &T),
-    ) {
-        self.budget.save(e);
-        e.put_u64(self.latency);
-        match self.capacity {
-            None => e.put_bool(false),
-            Some(cap) => {
-                e.put_bool(true);
-                e.put_usize(cap);
-            }
-        }
-        e.put_seq_len(self.waiting.len());
-        for (item, bytes) in &self.waiting {
-            f(e, item);
-            e.put_u64(*bytes);
-        }
-        e.put_seq_len(self.in_flight.len());
-        for (ready, item) in &self.in_flight {
-            e.put_u64(*ready);
-            f(e, item);
-        }
-    }
-
-    /// Deserialize a pipe saved by [`Pipe::save_with`], decoding each item
-    /// with `f`.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load_with(
-        d: &mut crate::ckpt::Dec<'_>,
-        mut f: impl FnMut(&mut crate::ckpt::Dec<'_>) -> crate::ckpt::CkptResult<T>,
-    ) -> crate::ckpt::CkptResult<Self> {
-        let budget = BandwidthBudget::load(d)?;
-        let latency = d.get_u64()?;
-        let capacity = if d.get_bool()? {
-            Some(d.get_usize()?)
-        } else {
-            None
-        };
-        let n = d.get_seq_len()?;
-        let mut waiting = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let item = f(d)?;
-            let bytes = d.get_u64()?;
-            waiting.push_back((item, bytes));
-        }
-        let n = d.get_seq_len()?;
-        let mut in_flight = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let ready = d.get_u64()?;
-            let item = f(d)?;
-            in_flight.push_back((ready, item));
-        }
-        Ok(Pipe {
-            budget,
-            latency,
-            capacity,
-            waiting,
-            in_flight,
-        })
-    }
 }
 
 #[cfg(test)]

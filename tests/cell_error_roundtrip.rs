@@ -14,13 +14,12 @@ use sac_bench::{Journal, JournalRecord, RecordOutcome};
 use std::path::PathBuf;
 
 /// Every `kind()` string and its `retryable()` value, one row per variant.
-const TAXONOMY: [(&str, bool); 6] = [
+const TAXONOMY: [(&str, bool); 5] = [
     ("panic", false),
     ("cycle-limit", true),
     ("deadlock", true),
     ("invariant-violation", false),
     ("config", false),
-    ("checkpoint", false),
 ];
 
 /// Every taxonomy variant, with arbitrary payloads where they exist.
@@ -53,9 +52,6 @@ fn cell_error_strategy() -> impl Strategy<Value = CellError> {
                 "rejected input {n}"
             ))))
         }),
-        any::<u64>().prop_map(|n| CellError::Sim(SimError::Checkpoint {
-            detail: format!("writing \"/state/cell-{n}.ckpt\":\n\\torn"),
-        })),
     ]
 }
 
@@ -115,7 +111,7 @@ proptest! {
 }
 
 /// The taxonomy is closed: each variant, in table order, emits its row's
-/// kind and retry decision, and the six kind strings are distinct.
+/// kind and retry decision, and the five kind strings are distinct.
 #[test]
 fn every_emitted_kind_is_classified_and_vice_versa() {
     let one_of_each = [
@@ -133,9 +129,6 @@ fn every_emitted_kind_is_classified_and_vice_versa() {
             report: Box::<ConservationReport>::default(),
         }),
         CellError::Sim(SimError::Config(mcgpu_types::ConfigError::new("bad"))),
-        CellError::Sim(SimError::Checkpoint {
-            detail: "torn".into(),
-        }),
     ];
     assert_eq!(one_of_each.len(), TAXONOMY.len());
     for (err, &(kind, retryable)) in one_of_each.iter().zip(&TAXONOMY) {

@@ -1,19 +1,22 @@
 //! Crash-safe sweep integration tests.
 //!
-//! Covers the ISSUE-3 durability contract end to end with the same
+//! Covers the sweep durability contract end to end with the same
 //! machinery the figure harnesses use: per-cell isolation (a panicking or
 //! deadlocked cell never poisons siblings), deterministic bounded retries
 //! with quarantine, and the resumable JSONL run journal — including that a
 //! `--resume` from a truncated journal reproduces byte-identical canonical
-//! stats while re-executing only the missing or quarantined cells.
+//! stats while re-executing only the missing or quarantined cells, and
+//! that a resumed quarantined cell continues its attempt count.
 
 use mcgpu_sim::{DeadlockSnapshot, SimError};
 use mcgpu_trace::{profiles, TraceParams};
 use mcgpu_types::LlcOrgKind;
 use proptest::prelude::*;
+use sac_bench::journal::{cell_config_desc, fnv1a_64};
 use sac_bench::sweep::{self, CellError, MAX_ATTEMPTS};
 use sac_bench::{
-    cell_config_hash, run_profiles, Journal, JournalRecord, RecordOutcome, SweepOptions,
+    cell_config_hash, experiment_config, run_benchmark, run_profiles, Journal, JournalRecord,
+    RecordOutcome, SweepOptions,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -247,4 +250,60 @@ fn resume_from_truncated_journal_is_byte_identical() {
         cell_config_hash(&other, &params, "SN", LlcOrgKind::Sac)
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A `--resume` of a quarantined cell continues the journaled
+/// attempt/backoff sequence instead of restarting it from zero, and the
+/// escalated retry computes the same statistics as a fresh run.
+#[test]
+fn resume_continues_attempt_counts_for_quarantined_cells() {
+    let cfg = experiment_config();
+    let p = profiles::by_name("SN").unwrap();
+    let orgk = LlcOrgKind::MemorySide;
+    let params = TraceParams {
+        total_accesses: 12_000,
+        ..TraceParams::quick()
+    };
+    let fresh = run_benchmark(&cfg, &p, &params, &[orgk], &SweepOptions::none()).unwrap();
+
+    // Seed a journal that says this cell was quarantined after 2 attempts
+    // (as an interrupted earlier sweep would have recorded).
+    let jpath = tmp_path("attempts");
+    let name = format!("{}/{}", p.name, orgk.label());
+    let desc = cell_config_desc(&cfg, &params, p.name, orgk);
+    let hash = fnv1a_64(desc.as_bytes());
+    let mut j = Journal::create(&jpath).unwrap();
+    j.append(JournalRecord {
+        cell: name.clone(),
+        config_hash: hash,
+        config: Some(desc),
+        mode: None,
+        attempts: 2,
+        outcome: RecordOutcome::Quarantined {
+            kind: "deadlock".to_string(),
+            error: "seeded by test".to_string(),
+        },
+    })
+    .unwrap();
+    drop(j);
+
+    let opts = SweepOptions {
+        resume: Some(jpath.clone()),
+        ..SweepOptions::none()
+    };
+    let resumed = run_benchmark(&cfg, &p, &params, &[orgk], &opts).unwrap();
+    // The watchdog window only decides when to abort, never what a
+    // completing run computes, so the escalated retry stays identical.
+    assert_eq!(
+        resumed.stats(orgk).to_canonical_json(),
+        fresh.stats(orgk).to_canonical_json()
+    );
+    let back = Journal::open(&jpath).unwrap();
+    let rec = back.lookup(&name, hash).expect("the retry was journaled");
+    assert!(matches!(rec.outcome, RecordOutcome::Completed { .. }));
+    assert_eq!(
+        rec.attempts, 3,
+        "2 journaled attempts + 1 fresh attempt: escalation resumed, not reset"
+    );
+    std::fs::remove_file(&jpath).unwrap();
 }

@@ -4,8 +4,7 @@
 //! a skipping run must produce **byte-identical** canonical `RunStats` JSON
 //! to the cycle-by-cycle run on every configuration — every organization,
 //! coherence protocol, topology, chip count and fault plan — including runs
-//! interrupted mid-cell, checkpointed and resumed, and runs that end in a
-//! watchdog deadlock. This suite samples that space with proptest and pins
+//! that end in a watchdog deadlock. This suite samples that space with proptest and pins
 //! the committed golden snapshots on top.
 //!
 //! There is deliberately **no** `UPDATE_GOLDEN` path here: if skip-on
@@ -107,60 +106,6 @@ proptest! {
         let mut sim = build(&cfg, org, &plan, true);
         let skipped = sim.run(&wl).expect("skipping run completes").to_canonical_json();
         prop_assert_eq!(&stepped, &skipped, "skip-idle changed the statistics");
-    }
-
-    /// Mid-run interruption composes with skipping: cut a skip-on run at an
-    /// arbitrary cycle, snapshot it, restore into a fresh skip-on simulator
-    /// and finish — still byte-identical to the uninterrupted skip-off run.
-    #[test]
-    fn skip_on_checkpoint_restore_stays_byte_identical(
-        org_idx in 0usize..LlcOrgKind::ALL.len(),
-        bench_idx in 0usize..16,
-        cut in 500u64..3_000,
-        with_faults in any::<bool>(),
-    ) {
-        let cfg = MachineConfig::experiment_baseline();
-        let org = LlcOrgKind::ALL[org_idx];
-        let bench = profiles::all_profiles()[bench_idx].name;
-        let wl = workload(&cfg, bench, 8_000);
-        let plan = if with_faults {
-            degrading_plan(cut / 2)
-        } else {
-            FaultPlan::none()
-        };
-
-        let stepped = build(&cfg, org, &plan, false)
-            .run(&wl)
-            .expect("stepping run completes")
-            .to_canonical_json();
-
-        let mut victim = SimBuilder::new(cfg.clone())
-            .organization(org)
-            .fault_plan(plan.clone())
-            .skip_idle(true)
-            .max_cycles(cut)
-            .build()
-            .expect("valid machine configuration");
-        let resumed_json = match victim.run(&wl) {
-            // The run outlived the cut: snapshot the stopped machine and
-            // finish in a freshly built skip-on simulator.
-            Err(SimError::CycleLimit { .. }) => {
-                let payload = victim.checkpoint(&wl);
-                drop(victim);
-                let mut resumed = build(&cfg, org, &plan, true);
-                resumed.restore(&payload, &wl).expect("snapshot restores");
-                prop_assert_eq!(resumed.cycle(), cut);
-                resumed
-                    .run(&wl)
-                    .expect("resumed run completes")
-                    .to_canonical_json()
-            }
-            // Finished before the cut; the full skip-on result still has
-            // to match.
-            Ok(stats) => stats.to_canonical_json(),
-            Err(e) => panic!("unexpected abort at cut {cut}: {e}"),
-        };
-        prop_assert_eq!(&stepped, &resumed_json, "skip + checkpoint/restore drifted");
     }
 }
 
